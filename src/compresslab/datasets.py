@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,10 @@ def _read_file(path: str) -> bytes:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as e:
+            raise DatasetFormatError(f"{path}: corrupt gzip stream: {e}") from None
     return raw
 
 

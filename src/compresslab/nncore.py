@@ -2,16 +2,18 @@
 
 Provides the tensors-as-ndarrays model container, forward/backward passes for
 a small set of layer kinds (conv2d, maxpool2x2, flatten, dense, relu, softmax),
-plain-SGD training, and accuracy evaluation.  Everything is single-threaded
-deterministic: given (seed, config, data) two runs produce bit-identical
-parameters.
+plain-SGD training, and accuracy evaluation.  Everything is bit-deterministic
+on one machine at a fixed BLAS thread count: given (seed, config, data) two
+runs produce bit-identical parameters.  Other thread counts may sum GEMMs in
+another order and so give other bits.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +23,6 @@ logger = logging.getLogger(__name__)
 
 # learning rate is cut 10x from this (0-based) epoch onward
 LR_DECAY_EPOCH = 9
-
-LAYER_KINDS = ("conv2d", "maxpool2x2", "flatten", "dense", "relu", "softmax")
 
 
 class ShapeMismatchError(ValueError):
@@ -44,6 +44,141 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# ---------------------------------------------------------------------------
+# layers: one table of kinds, and the passes that loop over it
+
+def _conv2d_shape(spec, shape):
+    h, w, c = shape
+    oh = h + 2 * spec.padding - spec.kernel_size + 1
+    ow = w + 2 * spec.padding - spec.kernel_size + 1
+    if oh < 1 or ow < 1:
+        raise ShapeMismatchError(f"kernel {spec.kernel_size} too large for {shape}")
+    return (oh, ow, spec.filters)
+
+
+def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(N,H,W,C) -> (N,OH,OW,k*k*C) patch matrix for valid convolution."""
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    n, h, w, c = x.shape
+    oh, ow = h - k + 1, w - k + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n, oh, ow, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
+    return windows.reshape(n, oh, ow, k * k * c)
+
+
+def _conv2d_forward(spec, x, w, b):
+    k = w.shape[0]
+    cols = _im2col(x, k, spec.padding)
+    wmat = w.reshape(-1, w.shape[3])
+    y = cols @ wmat + b
+    return y, (cols, x.shape)
+
+
+def _conv2d_backward(spec, dy, cache, w, b):
+    pad = spec.padding
+    cols, x_shape = cache
+    n, h, wd, c = x_shape
+    k, f = w.shape[0], w.shape[3]
+    wmat = w.reshape(-1, f)
+    dw = (cols.reshape(-1, cols.shape[3]).T @ dy.reshape(-1, f)).reshape(w.shape)
+    db = dy.sum(axis=(0, 1, 2))
+    dcols = (dy @ wmat.T).reshape(n, dy.shape[1], dy.shape[2], k, k, c)
+    dx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=dy.dtype)
+    oh, ow = dy.shape[1], dy.shape[2]
+    for i in range(k):
+        for j in range(k):
+            dx[:, i:i + oh, j:j + ow, :] += dcols[:, :, :, i, j, :]
+    if pad:
+        dx = dx[:, pad:-pad, pad:-pad, :]
+    return dx, dw, db
+
+
+def _maxpool_shape(spec, shape):
+    h, w, c = shape
+    if h % 2 or w % 2:
+        raise ShapeMismatchError(f"spatial dims must be even, got {shape}")
+    return (h // 2, w // 2, c)
+
+
+def _maxpool_forward(spec, x):
+    if x.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
+        raise ShapeMismatchError(f"needs even HxW input, got {x.shape}")
+    n, h, w, c = x.shape
+    oh, ow = h // 2, w // 2
+    win = x.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
+    # ties resolved toward the lowest in-window index (deterministic)
+    idx = win.argmax(axis=3)
+    y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return y, (idx, x.shape)
+
+
+def _maxpool_backward(spec, dy, cache):
+    idx, x_shape = cache
+    n, h, w, c = x_shape
+    oh, ow = h // 2, w // 2
+    dwin = np.zeros((n, oh, ow, 4, c), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    return (dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c),)
+
+
+def _dense_forward(spec, x, w, b):
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"input shape {x.shape} incompatible with weight {w.shape}")
+    return x @ w + b, x
+
+
+def _softmax_forward(spec, x):  # the final softmax is fused with the loss
+    raise ShapeMismatchError("softmax must be the final layer")
+
+
+@dataclass(frozen=True)
+class _LayerKind:
+    """Everything the engine knows about one layer kind.
+
+    ``forward(spec, x, *params)`` gives (y, cache), ``backward(spec, dy, cache,
+    *params)`` gives (dx, *param grads); params is (weight, bias) for a kind
+    with ``params``, else empty.  Errors omit the layer's position.
+    """
+
+    forward: Callable
+    backward: Callable | None
+    shape: Callable = lambda spec, shape: shape  # (spec, input shape) -> output shape
+    rank: int = 0  # the input's number of dims, if fixed
+    params: Callable | None = None  # (spec, input shape) -> (weight shape, bias shape)
+    valid: Callable = lambda spec: True  # are the hyperparameters usable?
+
+
+_KINDS: dict[str, _LayerKind] = {
+    "conv2d": _LayerKind(
+        forward=_conv2d_forward, backward=_conv2d_backward, shape=_conv2d_shape, rank=3,
+        params=lambda spec, shape: ((spec.kernel_size, spec.kernel_size, shape[2], spec.filters),
+                                    (spec.filters,)),
+        valid=lambda spec: spec.filters >= 1 and spec.kernel_size >= 1 and spec.padding >= 0),
+    "maxpool2x2": _LayerKind(
+        forward=_maxpool_forward, backward=_maxpool_backward, shape=_maxpool_shape, rank=3),
+    "flatten": _LayerKind(
+        forward=lambda spec, x: (x.reshape(x.shape[0], -1), x.shape),
+        backward=lambda spec, dy, x_shape: (dy.reshape(x_shape),),
+        shape=lambda spec, shape: (int(np.prod(shape)),)),
+    "dense": _LayerKind(
+        forward=_dense_forward,
+        backward=lambda spec, dy, x, w, b: (dy @ w.T, x.T @ dy, dy.sum(axis=0)),
+        shape=lambda spec, shape: (spec.units,), rank=1,
+        params=lambda spec, shape: ((shape[0], spec.units), (spec.units,)),
+        valid=lambda spec: spec.units >= 1),
+    "relu": _LayerKind(
+        forward=lambda spec, x: (np.maximum(x, 0), x > 0),
+        backward=lambda spec, dy, positive: (dy * positive,)),
+    "softmax": _LayerKind(forward=_softmax_forward, backward=None, rank=1),
+}
+
+
+def _param_names(i: int, spec) -> tuple[str, ...]:
+    return (f"{i}.weight", f"{i}.bias") if _KINDS[spec.kind].params else ()
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer of a feed-forward architecture.
@@ -59,12 +194,10 @@ class LayerSpec:
     units: int = 0
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv2d" and (self.filters < 1 or self.kernel_size < 1 or self.padding < 0):
-            raise ValueError(f"invalid conv2d hyperparameters: {self}")
-        if self.kind == "dense" and self.units < 1:
-            raise ValueError(f"invalid dense hyperparameters: {self}")
+        if not _KINDS[self.kind].valid(self):
+            raise ValueError(f"invalid {self.kind} hyperparameters: {self}")
 
 
 @dataclass
@@ -83,12 +216,7 @@ class Model:
     epochs_trained: int = 0
 
     def param_names(self) -> list[str]:
-        names = []
-        for i, spec in enumerate(self.layers):
-            if spec.kind in ("conv2d", "dense"):
-                names.append(f"{i}.weight")
-                names.append(f"{i}.bias")
-        return names
+        return [name for i, spec in enumerate(self.layers) for name in _param_names(i, spec)]
 
     def copy(self) -> "Model":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
@@ -96,67 +224,105 @@ class Model:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def validate(self) -> None:
-        expected = parameter_shapes(self.layers, self.input_shape)
-        if list(self.params.keys()) != list(expected.keys()):
-            raise ShapeMismatchError(
-                f"model parameters {sorted(self.params)} do not match "
-                f"architecture parameters {sorted(expected)}")
-        for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise ShapeMismatchError(
-                    f"parameter {name}: shape {self.params[name].shape}, expected {shape}")
-
 
 def infer_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
     """Per-layer output shapes (batch dimension excluded); hard error on mismatch."""
     shape = tuple(input_shape)
     out = []
     for i, spec in enumerate(layers):
-        where = f"layer {i} ({spec.kind})"
-        if spec.kind == "conv2d":
-            if len(shape) != 3:
-                raise ShapeMismatchError(f"{where}: needs HxWxC input, got {shape}")
-            h, w, c = shape
-            oh = h + 2 * spec.padding - spec.kernel_size + 1
-            ow = w + 2 * spec.padding - spec.kernel_size + 1
-            if oh < 1 or ow < 1:
-                raise ShapeMismatchError(f"{where}: kernel {spec.kernel_size} too large for {shape}")
-            shape = (oh, ow, spec.filters)
-        elif spec.kind == "maxpool2x2":
-            if len(shape) != 3:
-                raise ShapeMismatchError(f"{where}: needs HxWxC input, got {shape}")
-            h, w, c = shape
-            if h % 2 or w % 2:
-                raise ShapeMismatchError(f"{where}: spatial dims must be even, got {shape}")
-            shape = (h // 2, w // 2, c)
-        elif spec.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif spec.kind == "dense":
-            if len(shape) != 1:
-                raise ShapeMismatchError(f"{where}: needs flat input, got {shape}")
-            shape = (spec.units,)
-        else:  # relu, softmax keep shape
-            if spec.kind == "softmax" and len(shape) != 1:
-                raise ShapeMismatchError(f"{where}: needs flat input, got {shape}")
+        kind = _KINDS[spec.kind]
+        try:
+            if kind.rank and len(shape) != kind.rank:
+                need = "flat" if kind.rank == 1 else "HxWxC"
+                raise ShapeMismatchError(f"needs {need} input, got {shape}")
+            shape = kind.shape(spec, shape)
+        except ShapeMismatchError as e:
+            raise ShapeMismatchError(f"layer {i} ({spec.kind}): {e}") from None
         out.append(shape)
     return out
 
 
 def parameter_shapes(layers: list[LayerSpec], input_shape: tuple) -> dict[str, tuple]:
     """Map parameter name -> shape in canonical iteration order."""
+    in_shapes = [tuple(input_shape), *infer_shapes(layers, input_shape)]
     shapes = {}
-    shape = tuple(input_shape)
     for i, spec in enumerate(layers):
-        if spec.kind == "conv2d":
-            k, c = spec.kernel_size, shape[2]
-            shapes[f"{i}.weight"] = (k, k, c, spec.filters)
-            shapes[f"{i}.bias"] = (spec.filters,)
-        elif spec.kind == "dense":
-            shapes[f"{i}.weight"] = (shape[0], spec.units)
-            shapes[f"{i}.bias"] = (spec.units,)
-        shape = infer_shapes([spec], shape)[0]
+        names = _param_names(i, spec)
+        if names:
+            shapes.update(zip(names, _KINDS[spec.kind].params(spec, in_shapes[i])))
     return shapes
+
+
+def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Run every layer but the final softmax and return the logits.
+
+    Each layer's backward cache is appended to ``caches`` when a list is
+    given; otherwise it is dropped as soon as its layer returns.
+    """
+    if not model.layers or model.layers[-1].kind != "softmax":
+        raise ShapeMismatchError("model must end with a softmax layer")
+    x = np.asarray(batch)
+    if x.ndim != len(model.input_shape) + 1 or tuple(x.shape[1:]) != tuple(model.input_shape):
+        raise ShapeMismatchError(
+            f"model input: batch shape {x.shape} does not match "
+            f"(N, {', '.join(map(str, model.input_shape))})")
+    for i, spec in enumerate(model.layers[:-1]):
+        try:
+            x, cache = _KINDS[spec.kind].forward(
+                spec, x, *[model.params[name] for name in _param_names(i, spec)])
+        except ShapeMismatchError as e:
+            raise ShapeMismatchError(f"layer {i} ({spec.kind}): {e}") from None
+        if caches is not None:
+            caches.append(cache)
+        del cache  # so no cache lives on while the next layer runs
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"final layer (softmax): needs flat input, got {x.shape}")
+    return x
+
+
+def _softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def forward(model: Model, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities for a batch; rows are non-negative and sum to 1."""
+    return _softmax(_logits(model, batch))
+
+
+def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy loss and gradients keyed like ``model.params``.
+
+    Softmax and cross-entropy are fused for the backward pass, so the
+    gradient at the logits is (probs - onehot) / N.
+    """
+    labels = np.asarray(labels)
+    caches = []
+    logits = _logits(model, batch, caches)
+    n, num_classes = logits.shape
+    if labels.shape != (n,):
+        raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch size {n}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    # stable cross-entropy straight from logits
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    loss = float(np.mean(lse - logits[np.arange(n), labels]))
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss {loss}")
+
+    dy = _softmax(logits)
+    dy[np.arange(n), labels] -= 1.0
+    dy /= n
+    grads = {}
+    for i in range(len(model.layers) - 2, -1, -1):
+        spec = model.layers[i]
+        names = _param_names(i, spec)
+        dy, *param_grads = _KINDS[spec.kind].backward(
+            spec, dy, caches.pop(), *[model.params[name] for name in names])
+        grads.update(zip(names, param_grads))
+    return loss, {name: grads[name] for name in model.param_names()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +364,9 @@ def build_model(arch: str, seed: int = 0) -> Model:
         if name.endswith(".bias"):
             params[name] = np.zeros(shape, dtype=np.float32)
             continue
-        if len(shape) == 4:  # conv kernel (k, k, cin, f)
-            k, _, cin, f = shape
-            fan_in, fan_out = k * k * cin, k * k * f
-        else:  # dense (in, out)
-            fan_in, fan_out = shape
+        # conv kernels are (k, k, cin, f), dense weights (in, out)
+        receptive = math.prod(shape[:-2])
+        fan_in, fan_out = receptive * shape[-2], receptive * shape[-1]
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
     return Model(arch=arch, layers=list(layers), input_shape=input_shape,
@@ -234,179 +398,12 @@ def model_from_params(arch: str, params: dict[str, np.ndarray], seed: int = 0,
 
 def infer_architecture(params: dict) -> str:
     """Find the registered architecture whose parameter names/shapes match."""
-    names = set(params.keys())
-    shapes = {}
-    for name in names:
-        arr = params[name]
-        shapes[name] = tuple(arr.shape)
+    shapes = {name: tuple(arr.shape) for name, arr in params.items()}
     for arch, (input_shape, layers) in ARCHITECTURES.items():
-        expected = parameter_shapes(layers, input_shape)
-        if set(expected) == names and all(expected[n] == shapes[n] for n in names):
+        if parameter_shapes(layers, input_shape) == shapes:
             return arch
     raise ValueError("parameter map does not match any registered architecture; "
                      "pass the architecture explicitly")
-
-
-# ---------------------------------------------------------------------------
-# layer forward/backward
-
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N,OH,OW,k*k*C) patch matrix for valid convolution."""
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    n, h, w, c = x.shape
-    oh, ow = h - k + 1, w - k + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
-    return windows.reshape(n, oh, ow, k * k * c)
-
-
-def _conv2d_forward(x, w, b, pad):
-    k = w.shape[0]
-    cols = _im2col(x, k, pad)
-    wmat = w.reshape(-1, w.shape[3])
-    y = cols @ wmat + b
-    return y, (cols, x.shape)
-
-
-def _conv2d_backward(dy, w, cache, pad):
-    cols, x_shape = cache
-    n, h, wd, c = x_shape
-    k, f = w.shape[0], w.shape[3]
-    wmat = w.reshape(-1, f)
-    dw = (cols.reshape(-1, cols.shape[3]).T @ dy.reshape(-1, f)).reshape(w.shape)
-    db = dy.sum(axis=(0, 1, 2))
-    dcols = (dy @ wmat.T).reshape(n, dy.shape[1], dy.shape[2], k, k, c)
-    dx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=dy.dtype)
-    oh, ow = dy.shape[1], dy.shape[2]
-    for i in range(k):
-        for j in range(k):
-            dx[:, i:i + oh, j:j + ow, :] += dcols[:, :, :, i, j, :]
-    if pad:
-        dx = dx[:, pad:-pad, pad:-pad, :]
-    return dx, dw, db
-
-
-def _maxpool_forward(x):
-    n, h, w, c = x.shape
-    oh, ow = h // 2, w // 2
-    win = x.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
-    # ties resolved toward the lowest in-window index (deterministic)
-    idx = win.argmax(axis=3)
-    y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return y, (idx, x.shape)
-
-
-def _maxpool_backward(dy, cache):
-    idx, x_shape = cache
-    n, h, w, c = x_shape
-    oh, ow = h // 2, w // 2
-    dwin = np.zeros((n, oh, ow, 4, c), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    return dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward_with_cache(model: Model, batch: np.ndarray):
-    """Run all layers; return (probs, logits, caches)."""
-    if not model.layers or model.layers[-1].kind != "softmax":
-        raise ShapeMismatchError("model must end with a softmax layer")
-    x = np.asarray(batch)
-    if x.ndim != len(model.input_shape) + 1 or tuple(x.shape[1:]) != tuple(model.input_shape):
-        raise ShapeMismatchError(
-            f"model input: batch shape {x.shape} does not match "
-            f"(N, {', '.join(map(str, model.input_shape))})")
-    caches = []
-    for i, spec in enumerate(model.layers[:-1]):
-        where = f"layer {i} ({spec.kind})"
-        if spec.kind == "conv2d":
-            w, b = model.params[f"{i}.weight"], model.params[f"{i}.bias"]
-            x, cache = _conv2d_forward(x, w, b, spec.padding)
-            caches.append(cache)
-        elif spec.kind == "maxpool2x2":
-            if x.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
-                raise ShapeMismatchError(f"{where}: needs even HxW input, got {x.shape}")
-            x, cache = _maxpool_forward(x)
-            caches.append(cache)
-        elif spec.kind == "flatten":
-            caches.append(x.shape)
-            x = x.reshape(x.shape[0], -1)
-        elif spec.kind == "dense":
-            w, b = model.params[f"{i}.weight"], model.params[f"{i}.bias"]
-            if x.ndim != 2 or x.shape[1] != w.shape[0]:
-                raise ShapeMismatchError(
-                    f"{where}: input shape {x.shape} incompatible with weight {w.shape}")
-            caches.append(x)
-            x = x @ w + b
-        elif spec.kind == "relu":
-            caches.append(x > 0)
-            x = np.maximum(x, 0)
-        else:
-            raise ShapeMismatchError(f"{where}: softmax must be the final layer")
-    logits = x
-    if logits.ndim != 2:
-        raise ShapeMismatchError(f"final layer (softmax): needs flat input, got {logits.shape}")
-    return _softmax(logits), logits, caches
-
-
-def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch; rows are non-negative and sum to 1."""
-    probs, _, _ = _forward_with_cache(model, batch)
-    return probs
-
-
-def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy loss and gradients keyed like ``model.params``.
-
-    Softmax and cross-entropy are fused for the backward pass, so the
-    gradient at the logits is (probs - onehot) / N.
-    """
-    labels = np.asarray(labels)
-    probs, logits, caches = _forward_with_cache(model, batch)
-    n, num_classes = logits.shape
-    if labels.shape != (n,):
-        raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch size {n}")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    # stable cross-entropy straight from logits
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(f"non-finite loss {loss}")
-
-    dz = probs.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz /= n
-
-    grads = {}
-    dy = dz
-    for i in range(len(model.layers) - 2, -1, -1):
-        spec = model.layers[i]
-        cache = caches[i]
-        if spec.kind == "conv2d":
-            w = model.params[f"{i}.weight"]
-            dy, dw, db = _conv2d_backward(dy, w, cache, spec.padding)
-            grads[f"{i}.weight"], grads[f"{i}.bias"] = dw, db
-        elif spec.kind == "maxpool2x2":
-            dy = _maxpool_backward(dy, cache)
-        elif spec.kind == "flatten":
-            dy = dy.reshape(cache)
-        elif spec.kind == "dense":
-            x = cache
-            w = model.params[f"{i}.weight"]
-            grads[f"{i}.weight"] = x.T @ dy
-            grads[f"{i}.bias"] = dy.sum(axis=0)
-            dy = dy @ w.T
-        elif spec.kind == "relu":
-            dy = dy * cache
-    return loss, {name: grads[name] for name in model.param_names()}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +471,8 @@ def epoch_learning_rate(base_lr: float, epoch: int) -> float:
 
 
 def train(model: Model, data: DatasetSplit, cfg: TrainConfig, mask=None) -> Model:
-    """SGD-train a copy of ``model``; bit-deterministic given (seed, data, cfg).
+    """SGD-train a copy of ``model``; bit-deterministic given (seed, data, cfg)
+    on one machine at a fixed BLAS thread count.
 
     ``cfg.val_split`` of the data is held out (never trained on) and its
     accuracy is logged once per epoch.

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .nncore import Model, TrainConfig, derive_seed, epoch_learning_rate
 
 logger = logging.getLogger(__name__)
 
-# stream tags keeping fine-tune shuffles distinct from baseline training
-_BASELINE_STREAM = 0
+# stream tag keeping fine-tune shuffles distinct from baseline training (stream 0)
 _FINETUNE_STREAM = 1
 
 

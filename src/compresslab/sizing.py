@@ -18,6 +18,7 @@ zeroed timestamp metadata, so they are reproducible.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -119,70 +120,73 @@ def parse_model_bytes(data: bytes) -> dict:
         raise ArtifactFormatError(f"unsupported format version {version} at offset 4")
     out: dict = {}
     for t in range(count):
-        (name_len,) = r.unpack("<H", f"tensor {t} name length")
-        name = r.take(name_len, f"tensor {t} name").decode("utf-8")
-        if name in out:
-            raise ArtifactFormatError(f"duplicate tensor name {name!r} at offset {r.pos}")
-        dtype, flag, ndim = r.unpack("<BBB", f"tensor {name} header")
-        dims = r.unpack(f"<{ndim}I", f"tensor {name} dims")
-        size = 1
-        for d in dims:
-            size *= d
-        if flag not in (0, 1):
-            raise ArtifactFormatError(f"tensor {name}: bad quant flag {flag}")
-        if flag == 1 and dtype != DTYPE_I8:
-            raise ArtifactFormatError(f"tensor {name}: quant flag on non-int8 dtype {dtype}")
-        if flag == 0 and dtype == DTYPE_I8:
-            raise ArtifactFormatError(f"tensor {name}: int8 payload without quant parameters")
-        if dtype == DTYPE_I8:
-            scale, zero_point = r.unpack("<fi", f"tensor {name} quant params")
-            raw = r.take(size, f"tensor {name} payload")
-            stored = np.frombuffer(raw, dtype=np.int8).reshape(dims)
-            if zero_point == 0:
-                params = QuantParams(bits=8, mode="symmetric", scale=float(scale))
-                payload = stored
+        at = r.pos
+        try:
+            (name_len,) = r.unpack("<H", f"tensor {t} name length")
+            name = r.take(name_len, f"tensor {t} name").decode("utf-8")
+            if name in out:
+                raise ArtifactFormatError(f"duplicate tensor name {name!r} at offset {r.pos}")
+            dtype, flag, ndim = r.unpack("<BBB", f"tensor {name} header")
+            dims = r.unpack(f"<{ndim}I", f"tensor {name} dims")
+            size = math.prod(dims)
+            if flag not in (0, 1):
+                raise ArtifactFormatError(f"tensor {name}: bad quant flag {flag}")
+            if flag == 1 and dtype != DTYPE_I8:
+                raise ArtifactFormatError(f"tensor {name}: quant flag on non-int8 dtype {dtype}")
+            if flag == 0 and dtype == DTYPE_I8:
+                raise ArtifactFormatError(f"tensor {name}: int8 payload without quant parameters")
+            if dtype == DTYPE_I8:
+                scale, zero_point = r.unpack("<fi", f"tensor {name} quant params")
+                raw = r.take(size, f"tensor {name} payload")
+                stored = np.frombuffer(raw, dtype=np.int8).reshape(dims)
+                if zero_point == 0:
+                    params = QuantParams(bits=8, mode="symmetric", scale=float(scale))
+                    payload = stored
+                else:
+                    if not -128 <= zero_point <= 127:
+                        raise ArtifactFormatError(
+                            f"tensor {name}: zero point {zero_point} outside the int8 container")
+                    params = QuantParams(bits=8, mode="asymmetric", scale=float(scale),
+                                         zero_point=zero_point + 128)
+                    payload = (stored.astype(np.int16) + 128).astype(np.uint8)
+                out[name] = QuantizedTensor(shape=tuple(dims), params=params, payload=payload)
+            elif dtype == DTYPE_F16:
+                raw = r.take(2 * size, f"tensor {name} payload")
+                payload = np.frombuffer(raw, dtype="<f2").reshape(dims)
+                out[name] = QuantizedTensor(shape=tuple(dims),
+                                            params=QuantParams(bits=16, mode="float16"),
+                                            payload=payload)
+            elif dtype == DTYPE_F32:
+                raw = r.take(4 * size, f"tensor {name} payload")
+                out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
             else:
-                if not -128 <= zero_point <= 127:
-                    raise ArtifactFormatError(
-                        f"tensor {name}: zero point {zero_point} outside the int8 container")
-                params = QuantParams(bits=8, mode="asymmetric", scale=float(scale),
-                                     zero_point=zero_point + 128)
-                payload = (stored.astype(np.int16) + 128).astype(np.uint8)
-            out[name] = QuantizedTensor(shape=tuple(dims), params=params, payload=payload)
-        elif dtype == DTYPE_F16:
-            raw = r.take(2 * size, f"tensor {name} payload")
-            payload = np.frombuffer(raw, dtype="<f2").reshape(dims)
-            out[name] = QuantizedTensor(shape=tuple(dims),
-                                        params=QuantParams(bits=16, mode="float16"),
-                                        payload=payload)
-        elif dtype == DTYPE_F32:
-            raw = r.take(4 * size, f"tensor {name} payload")
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-        else:
-            raise ArtifactFormatError(f"tensor {name}: unknown dtype code {dtype}")
+                raise ArtifactFormatError(f"tensor {name}: unknown dtype code {dtype}")
+        except ArtifactFormatError:
+            raise
+        except ValueError as e:  # a non-UTF-8 name, numpy's shape limits, a bad scale
+            raise ArtifactFormatError(f"tensor {t} at offset {at}: {e}") from None
     if r.pos != len(data):
         raise ArtifactFormatError(
             f"{len(data) - r.pos} trailing bytes after the last tensor at offset {r.pos}")
     return out
 
 
+def _gzip_parts(data: bytes, level: int):
+    """The gzip stream for ``data`` (zeroed mtime, no filename), piece by piece."""
+    comp = zlib.compressobj(level, zlib.DEFLATED, 31)
+    for start in range(0, len(data), _GZIP_CHUNK):
+        yield comp.compress(data[start:start + _GZIP_CHUNK])
+    yield comp.flush()
+
+
 def gzip_compress(data: bytes, level: int = 9) -> bytes:
     """gzip bytes with zeroed mtime and no filename, for reproducible sizes."""
-    comp = zlib.compressobj(level, zlib.DEFLATED, 31)
-    parts = []
-    for start in range(0, len(data), _GZIP_CHUNK):
-        parts.append(comp.compress(data[start:start + _GZIP_CHUNK]))
-    parts.append(comp.flush())
-    return b"".join(parts)
+    return b"".join(_gzip_parts(data, level))
 
 
 def gzipped_size(data: bytes) -> int:
     """Size in bytes of the reproducible gzip stream for ``data``."""
-    comp = zlib.compressobj(9, zlib.DEFLATED, 31)
-    total = 0
-    for start in range(0, len(data), _GZIP_CHUNK):
-        total += len(comp.compress(data[start:start + _GZIP_CHUNK]))
-    return total + len(comp.flush())
+    return sum(len(part) for part in _gzip_parts(data, 9))
 
 
 def reduction_factor(baseline_size: int, model_size: int) -> float:
@@ -208,5 +212,8 @@ def load_artifact(path: str) -> dict:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = zlib.decompress(raw, 31)
+        try:
+            raw = zlib.decompress(raw, 31)
+        except zlib.error as e:
+            raise ArtifactFormatError(f"{path}: corrupt gzip stream: {e}") from None
     return parse_model_bytes(raw)

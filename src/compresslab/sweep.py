@@ -117,14 +117,6 @@ def artifact_name(arch: str, dataset: str, sparsity: float, bits: int) -> str:
     return f"{arch}_{dataset}_s{_fmt_sparsity(sparsity)}_p{bits}.mcmp.gz"
 
 
-def _quantize_cell(model, bits: int, int8_mode: str):
-    """(serializable payload, evaluation model) for one precision setting."""
-    if bits == 32:
-        return model, model
-    mode = int8_mode if bits == 8 else "asymmetric"
-    return quantization.quantize_model(model, bits, mode)
-
-
 def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
     """Train the baseline, walk the grid, save artifacts and the results CSV.
 
@@ -140,42 +132,37 @@ def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
                 cfg.arch, cfg.dataset, len(train_data))
     baseline = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data,
                             cfg.train_config())
-    base_bytes = sizing.serialize_model(baseline)
-    base_size = sizing.gzipped_size(base_bytes)
-    base_acc = nncore.evaluate_accuracy(baseline, test_data)
-    logger.info("baseline: %.2f%% accuracy, %d gzipped bytes", base_acc, base_size)
 
-    pruned_cache: dict[float, object] = {}
+    records: list[CompressionRecord] = []
+    failures: list[tuple[float, int, str]] = []
 
-    def pruned_model(s: float):
-        if s == 0.0:
-            return baseline
-        if s not in pruned_cache:
+    def fail(s: float, bits: int, e: Exception) -> None:
+        logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, e)
+        failures.append((s, bits, f"{type(e).__name__}: {e}"))
+
+    # one row per sparsity; config validation puts the baseline cell (0, 32) first
+    for s in cfg.sparsity_grid:
+        model = baseline
+        if s > 0.0:
             logger.info("pruning to sparsity %s", _fmt_sparsity(s))
             try:
                 model, _ = pruning.prune_and_finetune(baseline, train_data,
                                                       cfg.finetune_config(), s)
-                pruned_cache[s] = model
             except Exception as e:
-                pruned_cache[s] = e
-        cached = pruned_cache[s]
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
-
-    records: list[CompressionRecord] = []
-    failures: list[tuple[float, int, str]] = []
-    for s in cfg.sparsity_grid:
+                for bits in cfg.precision_grid:
+                    fail(s, bits, e)
+                continue
         for bits in cfg.precision_grid:
             try:
-                payload, eval_model = _quantize_cell(pruned_model(s), bits, cfg.int8_mode)
-                data = sizing.serialize_model(payload)
-                size = sizing.gzipped_size(data)
+                payload = eval_model = model
+                if bits < 32:
+                    payload, eval_model = quantization.quantize_model(
+                        model, bits, cfg.int8_mode if bits == 8 else "asymmetric")
                 path = os.path.join(out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
-                with open(path, "wb") as f:
-                    f.write(sizing.gzip_compress(data))
+                size = sizing.save_artifact(path, payload)
                 acc = nncore.evaluate_accuracy(eval_model, test_data)
                 if s == 0.0 and bits == 32:
+                    base_size, base_acc = size, acc
                     records.append(CompressionRecord(
                         sparsity=s, precision_bits=bits, int8_mode=None,
                         size_bytes=size, accuracy_pct=acc))
@@ -191,8 +178,9 @@ def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
                 logger.info("cell s=%s p=%d: %d bytes, %.2f%% accuracy",
                             _fmt_sparsity(s), bits, size, acc)
             except Exception as e:
-                logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, e)
-                failures.append((s, bits, f"{type(e).__name__}: {e}"))
+                if s == 0.0 and bits == 32:
+                    raise  # every other cell is scored against the baseline
+                fail(s, bits, e)
 
     csv_text = metrics.records_to_csv(records)
     with open(os.path.join(out_dir, RESULTS_CSV), "w") as f:

@@ -84,6 +84,11 @@ def test_idx_truncated_payload(tmp_path):
     _write_mnist_dir(tmp_path, images_blob=short)
     with pytest.raises(DatasetFormatError, match="payload length"):
         load_mnist(str(tmp_path))
+    packed = gzip.compress(struct.pack(">IIII", 0x803, 2, 28, 28) + bytes(2 * 28 * 28))
+    for corrupt in (packed[:-10], packed[:-8] + bytes(8)):  # cut short; bad CRC
+        _write_mnist_dir(tmp_path, images_blob=corrupt)
+        with pytest.raises(DatasetFormatError, match="train-images-idx3-ubyte: corrupt gzip"):
+            load_mnist(str(tmp_path))
 
 
 def test_idx_label_out_of_range(tmp_path):

@@ -38,11 +38,14 @@ def tiny_model(seed=0, dtype=np.float32):
 # ---------------------------------------------------------------------------
 # hand-computed layer values
 
+POOL = LayerSpec("maxpool2x2")
+
+
 def test_conv_of_ones_counts_window():
     x = np.ones((1, 3, 3, 1))
     w = np.ones((2, 2, 1, 1))
     b = np.zeros(1)
-    y, _ = nncore._conv2d_forward(x, w, b, 0)
+    y, _ = nncore._conv2d_forward(LayerSpec("conv2d", filters=1, kernel_size=2), x, w, b)
     assert y.shape == (1, 2, 2, 1)
     np.testing.assert_array_equal(y[0, :, :, 0], 4.0)
 
@@ -50,7 +53,8 @@ def test_conv_of_ones_counts_window():
 def test_conv_padding_shrinks_border_sums():
     x = np.ones((1, 2, 2, 1))
     w = np.ones((3, 3, 1, 1))
-    y, _ = nncore._conv2d_forward(x, w, np.zeros(1), 1)
+    spec = LayerSpec("conv2d", filters=1, kernel_size=3, padding=1)
+    y, _ = nncore._conv2d_forward(spec, x, w, np.zeros(1))
     # every 3x3 window over the zero-padded 2x2 grid sees all four ones
     assert y.shape == (1, 2, 2, 1)
     np.testing.assert_array_equal(y[0, :, :, 0], 4.0)
@@ -59,7 +63,8 @@ def test_conv_padding_shrinks_border_sums():
 def test_conv_bias_added_per_filter():
     x = np.zeros((1, 3, 3, 1))
     w = np.zeros((2, 2, 1, 2))
-    y, _ = nncore._conv2d_forward(x, w, np.array([1.5, -2.0]), 0)
+    spec = LayerSpec("conv2d", filters=2, kernel_size=2)
+    y, _ = nncore._conv2d_forward(spec, x, w, np.array([1.5, -2.0]))
     np.testing.assert_array_equal(y[0, :, :, 0], 1.5)
     np.testing.assert_array_equal(y[0, :, :, 1], -2.0)
 
@@ -69,15 +74,15 @@ def test_maxpool_picks_window_max():
                   [3., 4., 7., 8.],
                   [9., 10., 13., 14.],
                   [11., 12., 15., 16.]]).reshape(1, 4, 4, 1)
-    y, _ = nncore._maxpool_forward(x)
+    y, _ = nncore._maxpool_forward(POOL, x)
     np.testing.assert_array_equal(y[0, :, :, 0], [[4., 8.], [12., 16.]])
 
 
 def test_maxpool_tie_routes_gradient_to_first():
     x = np.full((1, 2, 2, 1), 3.0)
-    y, cache = nncore._maxpool_forward(x)
+    y, cache = nncore._maxpool_forward(POOL, x)
     assert y[0, 0, 0, 0] == 3.0
-    dx = nncore._maxpool_backward(np.ones((1, 1, 1, 1)), cache)
+    (dx,) = nncore._maxpool_backward(POOL, np.ones((1, 1, 1, 1)), cache)
     np.testing.assert_array_equal(dx.reshape(4), [1.0, 0.0, 0.0, 0.0])
 
 
@@ -119,7 +124,8 @@ def test_forward_softmax_overflow_safe():
 # near-complete coverage so the check cannot quietly go vacuous.
 
 def _loss_and_pattern(model, x, labels):
-    probs, logits, caches = nncore._forward_with_cache(model, x)
+    caches = []
+    logits = nncore._logits(model, x, caches)
     n = logits.shape[0]
     zmax = logits.max(axis=1)
     lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))

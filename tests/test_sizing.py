@@ -3,6 +3,7 @@ reproducible gzip sizing, and file round trips.
 """
 
 import gzip
+import math
 import struct
 import zlib
 
@@ -99,6 +100,10 @@ def test_serialize_is_deterministic(tiny_trained):
 def test_name_validation():
     with pytest.raises(ValueError, match="name"):
         serialize_model({"": np.zeros(1, dtype=np.float32)})
+    bad = bytearray(serialize_model({"w": np.zeros(1, dtype=np.float32)}))
+    bad[14] = 0xFF  # the first name byte
+    with pytest.raises(ArtifactFormatError, match="tensor 0 at offset 12: 'utf-8' codec"):
+        parse_model_bytes(bytes(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,13 @@ def test_parse_rejects_truncation_with_offset():
         parse_model_bytes(data[:-8])
     with pytest.raises(ArtifactFormatError, match="truncated"):
         parse_model_bytes(data[:13])
+    # shapes numpy refuses: other dims too big beside a zero dim, too many dims
+    for dims in ((0, 0xFFFFFFFF, 0xFFFFFFFF), (1,) * 65):
+        blob = b"MCMP" + struct.pack("<II", 1, 1)
+        blob += struct.pack("<H", 1) + b"w" + struct.pack("<BBB", 0, 0, len(dims))
+        blob += struct.pack(f"<{len(dims)}I", *dims) + bytes(4 * math.prod(dims))
+        with pytest.raises(ArtifactFormatError, match="tensor 0 at offset 12"):
+            parse_model_bytes(blob)
 
 
 def test_parse_rejects_trailing_bytes():
@@ -142,6 +154,11 @@ def test_parse_rejects_int8_without_params():
     blob += struct.pack("<H", 1) + b"w" + struct.pack("<BBB", 2, 0, 1)
     blob += struct.pack("<I", 1) + b"\x00"
     with pytest.raises(ArtifactFormatError, match="without quant"):
+        parse_model_bytes(blob)
+    blob = b"MCMP" + struct.pack("<II", 1, 1)
+    blob += struct.pack("<H", 1) + b"w" + struct.pack("<BBB", 2, 1, 1)
+    blob += struct.pack("<I", 1) + struct.pack("<fi", -1.0, 0) + b"\x00"
+    with pytest.raises(ArtifactFormatError, match="tensor 0 at offset 12: scale"):
         parse_model_bytes(blob)
 
 
@@ -207,6 +224,10 @@ def test_save_and_load_artifact(tmp_path, tiny_trained):
             np.testing.assert_array_equal(parsed[name], tiny_trained.params[name])
     data = open(raw_path, "rb").read()
     assert open(gz_path, "rb").read() == gzip_compress(data)
+    cut = tmp_path / "cut.mcmp.gz"
+    cut.write_bytes(gzip_compress(data)[:-10])
+    with pytest.raises(ArtifactFormatError, match="cut.mcmp.gz: corrupt gzip"):
+        load_artifact(str(cut))
 
 
 def test_load_artifact_quantized_roundtrip(tmp_path, tiny_trained):
