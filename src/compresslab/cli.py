@@ -8,6 +8,7 @@ missing input files, malformed config).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -29,12 +30,14 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", required=True, help="directory holding the dataset files")
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=12)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--val-split", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+def _add_train_args(p: argparse.ArgumentParser, learning_rate_field: str) -> None:
+    """Training flags defaulting to the reference protocol, SweepConfig's defaults."""
+    protocol = {f.name: f.default for f in dataclasses.fields(sweep.SweepConfig)}
+    p.add_argument("--epochs", type=int, default=protocol["epochs"])
+    p.add_argument("--batch-size", type=int, default=protocol["batch_size"])
+    p.add_argument("--learning-rate", type=float, default=protocol[learning_rate_field])
+    p.add_argument("--val-split", type=float, default=protocol["val_split"])
+    p.add_argument("--seed", type=int, default=protocol["seed"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a baseline model and save the artifact")
     _add_dataset_args(p)
     p.add_argument("--arch", default=None, help="architecture id (default: per dataset)")
-    _add_train_args(p)
+    _add_train_args(p, "learning_rate")
     p.add_argument("--out", required=True, help="artifact path (.gz gets gzipped)")
     p.set_defaults(func=cmd_train)
 
@@ -58,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-sparsity", type=float, required=True)
     _add_dataset_args(p)
     p.add_argument("--arch", default=None, help="architecture id (default: inferred)")
-    _add_train_args(p)
-    p.set_defaults(func=cmd_prune, learning_rate=0.02)
+    _add_train_args(p, "finetune_learning_rate")
+    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("quantize", help="quantize an artifact's weight tensors")
     p.add_argument("--in", dest="input", required=True, help="input artifact (float32)")
@@ -164,9 +167,10 @@ def cmd_sweep(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    records, failures = sweep.run_sweep(cfg, args.out_dir)
-    out_dir = args.out_dir or cfg.out_dir
-    print(os.path.join(out_dir, sweep.RESULTS_CSV))
+    if args.out_dir:
+        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+    records, failures = sweep.run_sweep(cfg)
+    print(os.path.join(cfg.out_dir, sweep.RESULTS_CSV))
     if failures:
         for s, bits, err in failures:
             print(f"failed cell s={s} p={bits}: {err}", file=sys.stderr)

@@ -23,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 # learning rate is cut 10x from this (0-based) epoch onward
 LR_DECAY_EPOCH = 9
+# examples per forward pass in evaluate_accuracy
+_EVAL_BATCH = 1024
 
 
 class ShapeMismatchError(ValueError):
@@ -103,8 +105,6 @@ def _maxpool_shape(spec, shape):
 
 
 def _maxpool_forward(spec, x):
-    if x.ndim != 4 or x.shape[1] % 2 or x.shape[2] % 2:
-        raise ShapeMismatchError(f"needs even HxW input, got {x.shape}")
     n, h, w, c = x.shape
     oh, ow = h // 2, w // 2
     win = x.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
@@ -121,12 +121,6 @@ def _maxpool_backward(spec, dy, cache):
     dwin = np.zeros((n, oh, ow, 4, c), dtype=dy.dtype)
     np.put_along_axis(dwin, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
     return (dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c),)
-
-
-def _dense_forward(spec, x, w, b):
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"input shape {x.shape} incompatible with weight {w.shape}")
-    return x @ w + b, x
 
 
 def _softmax_forward(spec, x):  # the final softmax is fused with the loss
@@ -163,7 +157,7 @@ _KINDS: dict[str, _LayerKind] = {
         backward=lambda spec, dy, x_shape: (dy.reshape(x_shape),),
         shape=lambda spec, shape: (int(np.prod(shape)),)),
     "dense": _LayerKind(
-        forward=_dense_forward,
+        forward=lambda spec, x, w, b: (x @ w + b, x),
         backward=lambda spec, dy, x, w, b: (dy @ w.T, x.T @ dy, dy.sum(axis=0)),
         shape=lambda spec, shape: (spec.units,), rank=1,
         params=lambda spec, shape: ((shape[0], spec.units), (spec.units,)),
@@ -256,11 +250,17 @@ def parameter_shapes(layers: list[LayerSpec], input_shape: tuple) -> dict[str, t
 def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
     """Run every layer but the final softmax and return the logits.
 
-    Each layer's backward cache is appended to ``caches`` when a list is
-    given; otherwise it is dropped as soon as its layer returns.
+    The architecture and the parameter shapes are checked once, up front, so
+    the kernels themselves check nothing.  Each layer's backward cache is
+    appended to ``caches`` when a list is given; otherwise it is dropped as
+    soon as its layer returns.
     """
     if not model.layers or model.layers[-1].kind != "softmax":
         raise ShapeMismatchError("model must end with a softmax layer")
+    for name, shape in parameter_shapes(model.layers, model.input_shape).items():
+        if model.params[name].shape != shape:
+            raise ShapeMismatchError(
+                f"parameter {name} has shape {model.params[name].shape}, layers need {shape}")
     x = np.asarray(batch)
     if x.ndim != len(model.input_shape) + 1 or tuple(x.shape[1:]) != tuple(model.input_shape):
         raise ShapeMismatchError(
@@ -275,8 +275,6 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
         if caches is not None:
             caches.append(cache)
         del cache  # so no cache lives on while the next layer runs
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"final layer (softmax): needs flat input, got {x.shape}")
     return x
 
 
@@ -440,34 +438,52 @@ def split_train_val(data: DatasetSplit, fraction: float, seed: int):
     return data.subset(perm[n_val:]), data.subset(perm[:n_val])
 
 
-def sgd_epoch(model: Model, images: np.ndarray, labels: np.ndarray, lr: float,
-              batch_size: int, seed: int, mask=None) -> float:
-    """One shuffled SGD pass, updating ``model.params`` in place.
-
-    If ``mask`` is given its masked weights are forced to exactly 0.0 after
-    every optimizer step.  Returns the mean per-batch loss.
-    """
-    n = len(images)
-    rng = np.random.default_rng(np.random.SeedSequence([mask_seed(seed)]))
-    order = rng.permutation(n)
-    losses = []
-    for bi, start in enumerate(range(0, n, batch_size)):
-        idx = order[start:start + batch_size]
-        try:
-            loss, grads = loss_and_grad(model, images[idx], labels[idx])
-        except TrainingDivergedError as e:
-            raise TrainingDivergedError(f"batch {bi}: {e}") from None
-        for name in model.param_names():
-            model.params[name] -= (lr * grads[name]).astype(model.params[name].dtype, copy=False)
-        if mask is not None:
-            mask.apply(model.params)
-        losses.append(loss)
-    return float(np.mean(losses))
-
-
 def epoch_learning_rate(base_lr: float, epoch: int) -> float:
     """Step schedule: 10x decay from epoch LR_DECAY_EPOCH onward."""
     return base_lr * (0.1 if epoch >= LR_DECAY_EPOCH else 1.0)
+
+
+def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
+                epoch_mask: Callable):
+    """The one epoch loop, behind both ``train`` and ``pruning.prune_and_finetune``.
+
+    SGD-trains a copy of ``model`` on all but the ``cfg.val_split`` held-out
+    share of ``data``.  Epoch ``e`` runs at ``epoch_learning_rate`` and
+    shuffles with ``derive_seed(cfg.seed, stream, e)``.  ``epoch_mask(model,
+    e)`` gives that epoch's mask or None; a mask is applied at the start of
+    the epoch and after every optimizer step, so its weights stay exactly
+    0.0.  Returns the trained copy and the last epoch's mask.
+    """
+    cfg.validate(len(data))
+    model = model.copy()
+    train_split, val_split = split_train_val(data, cfg.val_split, cfg.seed)
+    images, labels = train_split.images, train_split.labels
+    mask = None
+    for epoch in range(cfg.epochs):
+        mask = epoch_mask(model, epoch)
+        if mask is not None:
+            mask.apply(model.params)
+        lr = epoch_learning_rate(cfg.learning_rate, epoch)
+        seed = derive_seed(cfg.seed, stream, epoch)
+        order = np.random.default_rng(np.random.SeedSequence([seed])).permutation(len(images))
+        losses = []
+        for bi, start in enumerate(range(0, len(images), cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            try:
+                loss, grads = loss_and_grad(model, images[idx], labels[idx])
+            except TrainingDivergedError as e:
+                raise TrainingDivergedError(f"epoch {epoch}: batch {bi}: {e}") from None
+            for name, grad in grads.items():
+                model.params[name] -= (lr * grad).astype(model.params[name].dtype, copy=False)
+            if mask is not None:
+                mask.apply(model.params)
+            losses.append(loss)
+        sparsity = "" if mask is None else f"sparsity {mask.target_sparsity:.4f}, "
+        val = f", val acc {evaluate_accuracy(model, val_split):.2f}%" if len(val_split) else ""
+        logger.info("epoch %d/%d: %sloss %.4f%s",
+                    epoch + 1, cfg.epochs, sparsity, float(np.mean(losses)), val)
+    model.epochs_trained += cfg.epochs
+    return model, mask
 
 
 def train(model: Model, data: DatasetSplit, cfg: TrainConfig, mask=None) -> Model:
@@ -475,38 +491,22 @@ def train(model: Model, data: DatasetSplit, cfg: TrainConfig, mask=None) -> Mode
     on one machine at a fixed BLAS thread count.
 
     ``cfg.val_split`` of the data is held out (never trained on) and its
-    accuracy is logged once per epoch.
+    accuracy is logged once per epoch.  A ``mask`` keeps its pruned weights
+    at exactly 0.0 throughout.  Shares its epoch loop with
+    ``pruning.prune_and_finetune``; baseline training shuffles on stream 0.
     """
-    cfg.validate(len(data))
-    model = model.copy()
     if mask is not None:
         mask.validate_against(model.params)
-        mask.apply(model.params)
-    train_split, val_split = split_train_val(data, cfg.val_split, cfg.seed)
-    for epoch in range(cfg.epochs):
-        lr = epoch_learning_rate(cfg.learning_rate, epoch)
-        try:
-            mean_loss = sgd_epoch(model, train_split.images, train_split.labels, lr,
-                                  cfg.batch_size, derive_seed(cfg.seed, 0, epoch), mask=mask)
-        except TrainingDivergedError as e:
-            raise TrainingDivergedError(f"epoch {epoch}: {e}") from None
-        if len(val_split):
-            val_acc = evaluate_accuracy(model, val_split)
-            logger.info("epoch %d/%d: loss %.4f, val acc %.2f%%",
-                        epoch + 1, cfg.epochs, mean_loss, val_acc)
-        else:
-            logger.info("epoch %d/%d: loss %.4f", epoch + 1, cfg.epochs, mean_loss)
-    model.epochs_trained += cfg.epochs
-    return model
+    return _run_epochs(model, data, cfg, 0, lambda model, epoch: mask)[0]
 
 
-def evaluate_accuracy(model: Model, data: DatasetSplit, batch_size: int = 1024) -> float:
+def evaluate_accuracy(model: Model, data: DatasetSplit) -> float:
     """Percent of argmax-correct predictions; argmax ties go to the lowest class."""
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
-    for start in range(0, n, batch_size):
-        probs = forward(model, data.images[start:start + batch_size])
-        correct += int((probs.argmax(axis=1) == data.labels[start:start + batch_size]).sum())
+    for start in range(0, n, _EVAL_BATCH):
+        probs = forward(model, data.images[start:start + _EVAL_BATCH])
+        correct += int((probs.argmax(axis=1) == data.labels[start:start + _EVAL_BATCH]).sum())
     return 100.0 * correct / n

@@ -4,7 +4,6 @@ mask-enforced fine-tuning.  Biases are never pruned.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -12,9 +11,7 @@ import numpy as np
 
 from . import nncore
 from .datasets import DatasetSplit
-from .nncore import Model, TrainConfig, derive_seed, epoch_learning_rate
-
-logger = logging.getLogger(__name__)
+from .nncore import Model, TrainConfig
 
 # stream tag keeping fine-tune shuffles distinct from baseline training (stream 0)
 _FINETUNE_STREAM = 1
@@ -125,38 +122,19 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
     The mask is recomputed from current weight magnitudes at the start of
     each epoch, following the cubic ramp from min(0.5, target) down to the
     target over epochs-1 steps; the final epoch trains at the target, so the
-    returned model carries exactly the target sparsity.  Uses the same
-    learning-rate decay rule as ``nncore.train`` and a fine-tune-specific
-    shuffle stream, so results are bit-deterministic.
+    returned model carries exactly the target sparsity.  Runs the same epoch
+    loop as ``nncore.train`` (validation split, learning-rate decay,
+    divergence reporting, per-epoch logging) on a fine-tune-specific shuffle
+    stream, so results are bit-deterministic.
     """
     if not 0 <= target_sparsity < 1:
         raise ValueError(f"target_sparsity must lie in [0, 1), got {target_sparsity}")
-    cfg.validate(len(data))
-    model = model.copy()
-    train_split, val_split = nncore.split_train_val(data, cfg.val_split, cfg.seed)
-    initial = min(0.5, target_sparsity)
-    if cfg.epochs == 1:
-        schedule = None
-    else:
-        schedule = SparsitySchedule(initial, target_sparsity, cfg.epochs - 1)
-    mask = None
-    for epoch in range(cfg.epochs):
+    schedule = None
+    if cfg.epochs > 1:
+        schedule = SparsitySchedule(min(0.5, target_sparsity), target_sparsity, cfg.epochs - 1)
+
+    def epoch_mask(model: Model, epoch: int) -> PruneMask:
         s = target_sparsity if schedule is None else schedule_sparsity(schedule, epoch)
-        mask = build_mask(model, s)
-        mask.apply(model.params)
-        lr = epoch_learning_rate(cfg.learning_rate, epoch)
-        try:
-            mean_loss = nncore.sgd_epoch(
-                model, train_split.images, train_split.labels, lr, cfg.batch_size,
-                derive_seed(cfg.seed, _FINETUNE_STREAM, epoch), mask=mask)
-        except nncore.TrainingDivergedError as e:
-            raise nncore.TrainingDivergedError(f"fine-tune epoch {epoch}: {e}") from None
-        if len(val_split):
-            val_acc = nncore.evaluate_accuracy(model, val_split)
-            logger.info("fine-tune epoch %d/%d: sparsity %.4f, loss %.4f, val acc %.2f%%",
-                        epoch + 1, cfg.epochs, s, mean_loss, val_acc)
-        else:
-            logger.info("fine-tune epoch %d/%d: sparsity %.4f, loss %.4f",
-                        epoch + 1, cfg.epochs, s, mean_loss)
-    model.epochs_trained += cfg.epochs
-    return model, mask
+        return build_mask(model, s)
+
+    return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask)

@@ -4,7 +4,7 @@ float16 conversion, all per-tensor with round-half-to-even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,7 +164,4 @@ def quantize_model(model: Model, bits: int, mode: str = "asymmetric"):
     qmap = quantize_params(model.params, bits, mode)
     eval_params = {name: dequantize_tensor(v) if isinstance(v, QuantizedTensor) else v.copy()
                    for name, v in qmap.items()}
-    eval_model = Model(arch=model.arch, layers=list(model.layers),
-                       input_shape=model.input_shape, params=eval_params,
-                       seed=model.seed, epochs_trained=model.epochs_trained)
-    return qmap, eval_model
+    return qmap, replace(model, params=eval_params)

@@ -171,22 +171,22 @@ def parse_model_bytes(data: bytes) -> dict:
     return out
 
 
-def _gzip_parts(data: bytes, level: int):
-    """The gzip stream for ``data`` (zeroed mtime, no filename), piece by piece."""
-    comp = zlib.compressobj(level, zlib.DEFLATED, 31)
+def _gzip_parts(data: bytes):
+    """The level-9 gzip stream for ``data`` (zeroed mtime, no filename), piece by piece."""
+    comp = zlib.compressobj(9, zlib.DEFLATED, 31)
     for start in range(0, len(data), _GZIP_CHUNK):
         yield comp.compress(data[start:start + _GZIP_CHUNK])
     yield comp.flush()
 
 
-def gzip_compress(data: bytes, level: int = 9) -> bytes:
-    """gzip bytes with zeroed mtime and no filename, for reproducible sizes."""
-    return b"".join(_gzip_parts(data, level))
+def gzip_compress(data: bytes) -> bytes:
+    """Level-9 gzip bytes with zeroed mtime and no filename, for reproducible sizes."""
+    return b"".join(_gzip_parts(data))
 
 
 def gzipped_size(data: bytes) -> int:
     """Size in bytes of the reproducible gzip stream for ``data``."""
-    return sum(len(part) for part in _gzip_parts(data, 9))
+    return sum(len(part) for part in _gzip_parts(data))
 
 
 def reduction_factor(baseline_size: int, model_size: int) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import datasets, metrics, nncore, pruning, quantization, sizing
 from .metrics import CompressionRecord, _fmt_sparsity
@@ -73,9 +73,7 @@ class SweepConfig:
                            seed=self.seed)
 
     def finetune_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           learning_rate=self.finetune_learning_rate,
-                           val_split=self.val_split, seed=self.seed)
+        return replace(self.train_config(), learning_rate=self.finetune_learning_rate)
 
 
 _CONFIG_PARSERS = {
@@ -117,15 +115,15 @@ def artifact_name(arch: str, dataset: str, sparsity: float, bits: int) -> str:
     return f"{arch}_{dataset}_s{_fmt_sparsity(sparsity)}_p{bits}.mcmp.gz"
 
 
-def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
-    """Train the baseline, walk the grid, save artifacts and the results CSV.
+def run_sweep(cfg: SweepConfig):
+    """Train the baseline, walk the grid, save artifacts and the results CSV
+    in ``cfg.out_dir``.
 
     Returns (records, failures) where failures is a list of
     (sparsity, bits, error string).  Identical configs produce byte-identical
     CSVs; a failed cell is logged and skipped, never silently patched over.
     """
-    out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
 
     logger.info("training %s baseline on %s (%d examples)",
@@ -158,7 +156,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
                 if bits < 32:
                     payload, eval_model = quantization.quantize_model(
                         model, bits, cfg.int8_mode if bits == 8 else "asymmetric")
-                path = os.path.join(out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
+                path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
                 size = sizing.save_artifact(path, payload)
                 acc = nncore.evaluate_accuracy(eval_model, test_data)
                 if s == 0.0 and bits == 32:
@@ -183,10 +181,10 @@ def run_sweep(cfg: SweepConfig, out_dir: str | None = None):
                 fail(s, bits, e)
 
     csv_text = metrics.records_to_csv(records)
-    with open(os.path.join(out_dir, RESULTS_CSV), "w") as f:
+    with open(os.path.join(cfg.out_dir, RESULTS_CSV), "w") as f:
         f.write(csv_text)
     if failures:
-        with open(os.path.join(out_dir, FAILURES_LOG), "w") as f:
+        with open(os.path.join(cfg.out_dir, FAILURES_LOG), "w") as f:
             for s, bits, err in failures:
                 f.write(f"s={_fmt_sparsity(s)} p={bits}: {err}\n")
     return records, failures

@@ -350,6 +350,18 @@ def test_odd_spatial_maxpool_rejected():
         nncore.infer_shapes(layers, (4, 4, 1))  # conv leaves 3x3
 
 
+def test_hand_built_model_must_fit_its_input_shape():
+    model = build_model("mnist-cnn")
+    x = np.zeros((1, 27, 27, 1), dtype=np.float32)
+    odd = Model(arch="odd", layers=model.layers, input_shape=(27, 27, 1), params=model.params)
+    with pytest.raises(ShapeMismatchError, match=r"layer 2 \(maxpool2x2\)"):
+        forward(odd, x)  # conv leaves 25x25 for the pool
+    x = np.zeros((1, 30, 30, 1), dtype=np.float32)
+    wide = Model(arch="wide", layers=model.layers, input_shape=(30, 30, 1), params=model.params)
+    with pytest.raises(ShapeMismatchError, match=r"4\.weight"):
+        loss_and_grad(wide, x, np.array([0]))  # the dense layer now sees 14*14*12 inputs
+
+
 def test_evaluate_accuracy_counts_argmax():
     model = build_model("mnist-cnn", seed=0)
     for name in model.params:

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from compresslab.nncore import TrainConfig, build_model, evaluate_accuracy
+from compresslab.nncore import (TrainConfig, TrainingDivergedError, build_model,
+                                evaluate_accuracy)
 from compresslab.pruning import (PruneMask, SparsitySchedule, build_mask,
                                  magnitude_threshold, measure_sparsity,
                                  prunable_parameter_names, prune_and_finetune,
@@ -208,3 +209,12 @@ def test_prune_input_untouched_and_validation(tiny_trained, synth_train):
         np.testing.assert_array_equal(tiny_trained.params[name], before[name])
     with pytest.raises(ValueError, match="target_sparsity"):
         prune_and_finetune(tiny_trained, synth_train, cfg, 1.0)
+
+
+def test_prune_divergence_names_epoch_and_batch(synth_train):
+    model = build_model("mnist-cnn", seed=0)
+    model.params["0.weight"][0, 0, 0, 0] = np.inf
+    cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.02, seed=0)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="epoch 0: batch 0: non-finite loss"):
+        prune_and_finetune(model, synth_train, cfg, 0.5)

@@ -4,12 +4,14 @@ report rendering, and exit codes.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from compresslab import cli, pruning, sweep
 from compresslab.metrics import records_from_csv
+from compresslab.nncore import TrainConfig
 from compresslab.sizing import load_artifact
 from compresslab.sweep import SweepConfig, parse_config, run_sweep
 from conftest import synthetic_dataset, write_idx_files
@@ -212,6 +214,20 @@ def test_cli_chain_matches_sweep_cell(data_dir, tmp_path, sweep_result, capsys):
     # baseline artifact matches too
     assert cli.main(["--quiet", "size", "--in", base]) == 0
     assert int(capsys.readouterr().out.strip()) == by_cell[(0.0, 32)].size_bytes
+
+
+def test_cli_training_defaults_are_the_reference_protocol():
+    cfg = SweepConfig(dataset="mnist", data_dir="data")
+    assert cfg.train_config() == TrainConfig(epochs=12, batch_size=128, learning_rate=0.1,
+                                             val_split=0.3, seed=0)
+    assert cfg.finetune_config() == replace(cfg.train_config(), learning_rate=0.02)
+    parser = cli.build_parser()
+    data = ["--dataset", "mnist", "--data-dir", "data"]
+    args = parser.parse_args(["train", *data, "--out", "base.mcmp.gz"])
+    assert cli._train_config(args) == cfg.train_config()
+    args = parser.parse_args(["prune", "--in", "base.mcmp.gz", "--out", "pruned.mcmp.gz",
+                              "--target-sparsity", "0.5", *data])
+    assert cli._train_config(args) == cfg.finetune_config()
 
 
 def test_cli_sweep_and_report(data_dir, tmp_path, capsys):
