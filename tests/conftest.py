@@ -27,6 +27,22 @@ def synthetic_dataset(n: int, seed: int = 0) -> DatasetSplit:
     return DatasetSplit(images, labels.astype(np.int64))
 
 
+def synthetic_cifar_dataset(n: int, seed: int = 0) -> DatasetSplit:
+    """CIFAR-shaped 10-class data: a class-coloured square at a class position,
+    plus noise, stored at 8-bit precision like the real batches."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=n)
+    colours = rng.uniform(0.3, 1.0, size=(10, 3)).astype(np.float32)
+    images = rng.uniform(0.0, 0.4, size=(n, 32, 32, 3)).astype(np.float32)
+    for i, y in enumerate(labels):
+        r = 3 + (y // 5) * 16
+        c = 1 + (y % 5) * 6
+        images[i, r:r + 10, c:c + 6] += colours[y]
+    np.clip(images, 0.0, 1.0, out=images)
+    images = np.rint(images * 255) / np.float32(255)
+    return DatasetSplit(images.astype(np.float32), labels.astype(np.int64))
+
+
 def write_idx_files(directory: str, train: DatasetSplit, test: DatasetSplit,
                     compress: bool = False) -> None:
     """Write DatasetSplits as the four canonical IDX files."""
