@@ -6,6 +6,13 @@ plain-SGD training, and accuracy evaluation.  Everything is bit-deterministic
 on one machine at a fixed BLAS thread count: given (seed, config, data) two
 runs produce bit-identical parameters.  Other thread counts may sum GEMMs in
 another order and so give other bits.
+
+A conv layer runs as flat 2-D GEMMs over its (N*OH*OW, k*k*C) patch matrix:
+one for the output, one for the weight gradient and one per kernel tap for
+the input gradient.  The first layer's input gradient, which nothing uses,
+is not computed.  Maxpool is the elementwise max of each 2x2 window's four
+corners; a tie (-0.0 vs 0.0 included) goes to the first corner in row-major
+order, in the output and in the gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ logger = logging.getLogger(__name__)
 # learning rate is cut 10x from this (0-based) epoch onward
 LR_DECAY_EPOCH = 9
 # examples per forward pass in evaluate_accuracy
-_EVAL_BATCH = 1024
+_EVAL_BATCH = 128
 
 
 class ShapeMismatchError(ValueError):
@@ -59,7 +66,7 @@ def _conv2d_shape(spec, shape):
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N,OH,OW,k*k*C) patch matrix for valid convolution."""
+    """(N,H,W,C) -> (N*OH*OW, k*k*C) patch matrix for valid convolution."""
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     n, h, w, c = x.shape
@@ -67,34 +74,35 @@ def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x, (n, oh, ow, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
-    return windows.reshape(n, oh, ow, k * k * c)
+    return windows.reshape(n * oh * ow, k * k * c)
 
 
 def _conv2d_forward(spec, x, w, b):
-    k = w.shape[0]
-    cols = _im2col(x, k, spec.padding)
-    wmat = w.reshape(-1, w.shape[3])
-    y = cols @ wmat + b
-    return y, (cols, x.shape)
+    # one flat GEMM: a 4-D operand would make numpy run N*OH small ones
+    cols = _im2col(x, w.shape[0], spec.padding)
+    y = cols @ w.reshape(-1, w.shape[3]) + b
+    return y.reshape(x.shape[0], *_conv2d_shape(spec, x.shape[1:])), (cols, x.shape)
+
+
+def _conv2d_grads(spec, dy, cache, w, b):
+    cols, _ = cache
+    dw = (cols.T @ dy.reshape(-1, w.shape[3])).reshape(w.shape)
+    return dw, dy.sum(axis=(0, 1, 2))
 
 
 def _conv2d_backward(spec, dy, cache, w, b):
+    """col2im one kernel tap at a time, in (i, j) order, into a padded dx."""
     pad = spec.padding
-    cols, x_shape = cache
-    n, h, wd, c = x_shape
-    k, f = w.shape[0], w.shape[3]
-    wmat = w.reshape(-1, f)
-    dw = (cols.reshape(-1, cols.shape[3]).T @ dy.reshape(-1, f)).reshape(w.shape)
-    db = dy.sum(axis=(0, 1, 2))
-    dcols = (dy @ wmat.T).reshape(n, dy.shape[1], dy.shape[2], k, k, c)
+    _, (n, h, wd, c) = cache
+    _, oh, ow, f = dy.shape
+    dy2 = dy.reshape(-1, f)
     dx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=dy.dtype)
-    oh, ow = dy.shape[1], dy.shape[2]
-    for i in range(k):
-        for j in range(k):
-            dx[:, i:i + oh, j:j + ow, :] += dcols[:, :, :, i, j, :]
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            dx[:, i:i + oh, j:j + ow, :] += (dy2 @ w[i, j].T).reshape(n, oh, ow, c)
     if pad:
         dx = dx[:, pad:-pad, pad:-pad, :]
-    return dx, dw, db
+    return (dx,)
 
 
 def _maxpool_shape(spec, shape):
@@ -104,27 +112,39 @@ def _maxpool_shape(spec, shape):
     return (h // 2, w // 2, c)
 
 
-def _maxpool_forward(spec, x):
+def _windows(x):
+    """(N,H,W,C) -> (N,H/2,2,W/2,2,C) view; [:, :, r, :, s] is corner (r, s) of each window."""
     n, h, w, c = x.shape
-    oh, ow = h // 2, w // 2
-    win = x.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
-    # ties resolved toward the lowest in-window index (deterministic)
-    idx = win.argmax(axis=3)
-    y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return y, (idx, x.shape)
+    return x.reshape(n, h // 2, 2, w // 2, 2, c)
+
+
+def _maxpool_forward(spec, x):
+    # np.maximum returns its second operand on a tie, so nesting the earlier
+    # corners second makes the first of equal corners (-0.0 vs 0.0 too) win
+    win = _windows(x)
+    a, b, c, d = (win[:, :, r, :, s] for r in (0, 1) for s in (0, 1))
+    y = np.maximum(d, np.maximum(c, np.maximum(b, a)))
+    return y, (x, y)
+
+
+def _maxpool_winners(x, y):
+    """Mask shaped like ``_windows(x)`` of the first corner of each window equal to ``y``."""
+    hit = _windows(x) == y[:, :, None, :, None, :]
+    taken = hit[:, :, 0, :, 0].copy()
+    for r, s in (0, 1), (1, 0), (1, 1):
+        corner = hit[:, :, r, :, s]
+        corner &= ~taken
+        taken |= corner
+    return hit
 
 
 def _maxpool_backward(spec, dy, cache):
-    idx, x_shape = cache
-    n, h, w, c = x_shape
-    oh, ow = h // 2, w // 2
-    dwin = np.zeros((n, oh, ow, 4, c), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    return (dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c),)
-
-
-def _softmax_forward(spec, x):  # the final softmax is fused with the loss
-    raise ShapeMismatchError("softmax must be the final layer")
+    x, y = cache
+    # dy's bits times 0 or 1 give dy exactly at the winner (-0.0 and inf
+    # too) and +0.0 elsewhere, without np.where's per-element branch
+    bits = np.dtype(f"u{dy.itemsize}")
+    dx = dy.view(bits)[:, :, None, :, None, :] * _maxpool_winners(x, y)
+    return (dx.view(dy.dtype).reshape(x.shape),)
 
 
 @dataclass(frozen=True)
@@ -132,12 +152,16 @@ class _LayerKind:
     """Everything the engine knows about one layer kind.
 
     ``forward(spec, x, *params)`` gives (y, cache), ``backward(spec, dy, cache,
-    *params)`` gives (dx, *param grads); params is (weight, bias) for a kind
-    with ``params``, else empty.  Errors omit the layer's position.
+    *params)`` gives (dx,) and, for a kind with ``params``, ``grads(spec, dy,
+    cache, *params)`` gives (weight grad, bias grad); params is (weight, bias)
+    for such a kind, else empty.  The softmax has no kernels: the engine fuses
+    it with the loss, so it must be the last layer.  Errors omit the layer's
+    position.
     """
 
-    forward: Callable
+    forward: Callable | None
     backward: Callable | None
+    grads: Callable | None = None
     shape: Callable = lambda spec, shape: shape  # (spec, input shape) -> output shape
     rank: int = 0  # the input's number of dims, if fixed
     params: Callable | None = None  # (spec, input shape) -> (weight shape, bias shape)
@@ -146,7 +170,8 @@ class _LayerKind:
 
 _KINDS: dict[str, _LayerKind] = {
     "conv2d": _LayerKind(
-        forward=_conv2d_forward, backward=_conv2d_backward, shape=_conv2d_shape, rank=3,
+        forward=_conv2d_forward, backward=_conv2d_backward, grads=_conv2d_grads,
+        shape=_conv2d_shape, rank=3,
         params=lambda spec, shape: ((spec.kernel_size, spec.kernel_size, shape[2], spec.filters),
                                     (spec.filters,)),
         valid=lambda spec: spec.filters >= 1 and spec.kernel_size >= 1 and spec.padding >= 0),
@@ -158,14 +183,15 @@ _KINDS: dict[str, _LayerKind] = {
         shape=lambda spec, shape: (int(np.prod(shape)),)),
     "dense": _LayerKind(
         forward=lambda spec, x, w, b: (x @ w + b, x),
-        backward=lambda spec, dy, x, w, b: (dy @ w.T, x.T @ dy, dy.sum(axis=0)),
+        backward=lambda spec, dy, x, w, b: (dy @ w.T,),
+        grads=lambda spec, dy, x, w, b: (x.T @ dy, dy.sum(axis=0)),
         shape=lambda spec, shape: (spec.units,), rank=1,
         params=lambda spec, shape: ((shape[0], spec.units), (spec.units,)),
         valid=lambda spec: spec.units >= 1),
     "relu": _LayerKind(
         forward=lambda spec, x: (np.maximum(x, 0), x > 0),
         backward=lambda spec, dy, positive: (dy * positive,)),
-    "softmax": _LayerKind(forward=_softmax_forward, backward=None, rank=1),
+    "softmax": _LayerKind(forward=None, backward=None, rank=1),
 }
 
 
@@ -220,7 +246,12 @@ class Model:
 
 
 def infer_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
-    """Per-layer output shapes (batch dimension excluded); hard error on mismatch."""
+    """Per-layer output shapes (batch dimension excluded); hard error on mismatch.
+
+    The last layer, and only the last, must be a softmax.
+    """
+    if not layers or layers[-1].kind != "softmax":
+        raise ShapeMismatchError("model must end with a softmax layer")
     shape = tuple(input_shape)
     out = []
     for i, spec in enumerate(layers):
@@ -229,6 +260,8 @@ def infer_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
             if kind.rank and len(shape) != kind.rank:
                 need = "flat" if kind.rank == 1 else "HxWxC"
                 raise ShapeMismatchError(f"needs {need} input, got {shape}")
+            if kind.forward is None and i < len(layers) - 1:
+                raise ShapeMismatchError(f"{spec.kind} must be the final layer")
             shape = kind.shape(spec, shape)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"layer {i} ({spec.kind}): {e}") from None
@@ -255,8 +288,6 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
     appended to ``caches`` when a list is given; otherwise it is dropped as
     soon as its layer returns.
     """
-    if not model.layers or model.layers[-1].kind != "softmax":
-        raise ShapeMismatchError("model must end with a softmax layer")
     for name, shape in parameter_shapes(model.layers, model.input_shape).items():
         if model.params[name].shape != shape:
             raise ShapeMismatchError(
@@ -267,11 +298,8 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
             f"model input: batch shape {x.shape} does not match "
             f"(N, {', '.join(map(str, model.input_shape))})")
     for i, spec in enumerate(model.layers[:-1]):
-        try:
-            x, cache = _KINDS[spec.kind].forward(
-                spec, x, *[model.params[name] for name in _param_names(i, spec)])
-        except ShapeMismatchError as e:
-            raise ShapeMismatchError(f"layer {i} ({spec.kind}): {e}") from None
+        x, cache = _KINDS[spec.kind].forward(
+            spec, x, *[model.params[name] for name in _param_names(i, spec)])
         if caches is not None:
             caches.append(cache)
         del cache  # so no cache lives on while the next layer runs
@@ -316,10 +344,13 @@ def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
     grads = {}
     for i in range(len(model.layers) - 2, -1, -1):
         spec = model.layers[i]
+        kind, cache = _KINDS[spec.kind], caches.pop()
         names = _param_names(i, spec)
-        dy, *param_grads = _KINDS[spec.kind].backward(
-            spec, dy, caches.pop(), *[model.params[name] for name in names])
-        grads.update(zip(names, param_grads))
+        params = [model.params[name] for name in names]
+        if kind.grads:
+            grads.update(zip(names, kind.grads(spec, dy, cache, *params)))
+        if i:  # nothing uses the gradient at the model input
+            (dy,) = kind.backward(spec, dy, cache, *params)
     return loss, {name: grads[name] for name in model.param_names()}
 
 

@@ -86,6 +86,50 @@ def test_maxpool_tie_routes_gradient_to_first():
     np.testing.assert_array_equal(dx.reshape(4), [1.0, 0.0, 0.0, 0.0])
 
 
+def _argmax_maxpool(x, dy):
+    """Reference maxpool: transpose each 2x2 window onto an axis of 4, take the
+    first argmax, and scatter the gradient back to it."""
+    n, h, w, c = x.shape
+    oh, ow = h // 2, w // 2
+    win = x.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
+    idx = win.argmax(axis=3)
+    y = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    dwin = np.zeros((n, oh, ow, 4, c), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    return y, dwin.reshape(n, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    uint = np.dtype(f"u{a.itemsize}")
+    np.testing.assert_array_equal(a.view(uint)[~np.isnan(a)], b.view(uint)[~np.isnan(b)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_argmax_reference_bit_for_bit(dtype):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 8, 6, 5)).astype(dtype)
+    x[1] = np.round(x[1])  # small integers: many tied windows
+    x[2] = np.where(rng.random(x[2].shape) < 0.5, -0.0, 0.0)  # signed-zero ties
+    x[0, 0:2, 0:2, 0] = [[-0.0, 0.0], [-1.0, -1.0]]
+    x[0, 0:2, 2:4, 0] = [[0.0, -0.0], [-1.0, -1.0]]
+    x[0, 2:4, 0:2, 0] = [[-1.0, -1.0], [-0.0, 0.0]]
+    dy = rng.standard_normal((3, 4, 3, 5)).astype(dtype)
+    dy[0, 0, 0, 1] = -0.0
+    y, cache = nncore._maxpool_forward(POOL, x)
+    (dx,) = nncore._maxpool_backward(POOL, dy, cache)
+    y_ref, dx_ref = _argmax_maxpool(x, dy)
+    _assert_same_bits(y, y_ref)
+    _assert_same_bits(dx, dx_ref)
+    assert np.signbit(y[0, 0, 0, 0]) and not np.signbit(y[0, 0, 1, 0])
+
+    x[0, 4:6, 2:4, 3] = [[1.0, np.nan], [2.0, 3.0]]  # NaN: forward only
+    y, _ = nncore._maxpool_forward(POOL, x)
+    _assert_same_bits(y, _argmax_maxpool(x, dy)[0])
+    assert np.isnan(y[0, 2, 1, 3])
+
+
 def test_uniform_probabilities_from_zero_weights():
     model = build_model("mnist-cnn", seed=0)
     for name in model.params:
@@ -135,7 +179,7 @@ def _loss_and_pattern(model, x, labels):
         if spec.kind == "relu":
             pattern.append(cache.tobytes())
         elif spec.kind == "maxpool2x2":
-            pattern.append(cache[0].tobytes())
+            pattern.append(nncore._maxpool_winners(*cache).tobytes())
     return loss, b"".join(pattern)
 
 
@@ -350,6 +394,15 @@ def test_odd_spatial_maxpool_rejected():
         nncore.infer_shapes(layers, (4, 4, 1))  # conv leaves 3x3
 
 
+def test_softmax_only_as_the_last_layer():
+    flat, soft = LayerSpec("flatten"), LayerSpec("softmax")
+    layers = [flat, LayerSpec("dense", units=4), soft, LayerSpec("dense", units=3), soft]
+    with pytest.raises(ShapeMismatchError, match=r"layer 2 \(softmax\): .*final layer"):
+        nncore.parameter_shapes(layers, (2, 2, 1))
+    with pytest.raises(ShapeMismatchError, match="must end with a softmax"):
+        nncore.parameter_shapes([flat, LayerSpec("dense", units=3)], (2, 2, 1))
+
+
 def test_hand_built_model_must_fit_its_input_shape():
     model = build_model("mnist-cnn")
     x = np.zeros((1, 27, 27, 1), dtype=np.float32)
@@ -360,6 +413,14 @@ def test_hand_built_model_must_fit_its_input_shape():
     wide = Model(arch="wide", layers=model.layers, input_shape=(30, 30, 1), params=model.params)
     with pytest.raises(ShapeMismatchError, match=r"4\.weight"):
         loss_and_grad(wide, x, np.array([0]))  # the dense layer now sees 14*14*12 inputs
+
+
+def test_evaluate_accuracy_in_batches_matches_one_forward(tiny_trained, synth_test):
+    n = len(synth_test)
+    assert n > nncore._EVAL_BATCH
+    probs = forward(tiny_trained, synth_test.images)
+    correct = int((probs.argmax(axis=1) == synth_test.labels).sum())
+    assert evaluate_accuracy(tiny_trained, synth_test) == 100.0 * correct / n
 
 
 def test_evaluate_accuracy_counts_argmax():
