@@ -15,8 +15,8 @@ from .nncore import (ARCHITECTURES, LayerSpec, Model, ShapeMismatchError,
 from .pruning import (PruneMask, SparsitySchedule, build_mask, magnitude_threshold,
                       measure_sparsity, prune_and_finetune, schedule_sparsity)
 from .quantization import (QuantParams, QuantizedTensor, compute_quant_params,
-                           convert_float16, dequantize_tensor, quantize_model,
-                           quantize_params, quantize_tensor)
+                           convert_float16, dequantize_params, dequantize_tensor,
+                           quantize_model, quantize_params, quantize_tensor)
 from .sizing import (ArtifactFormatError, gzip_compress, gzipped_size, load_artifact,
                      parse_model_bytes, reduction_factor, save_artifact,
                      serialize_model)
@@ -30,7 +30,7 @@ __all__ = [
     "QuantParams", "QuantizedTensor", "ShapeMismatchError", "SparsitySchedule",
     "SweepConfig", "TrainConfig", "TrainingDivergedError", "accuracy_delta",
     "build_mask", "build_model", "build_report_table", "compute_quant_params",
-    "convert_float16", "dequantize_tensor", "evaluate_accuracy", "forward",
+    "convert_float16", "dequantize_params", "dequantize_tensor", "evaluate_accuracy", "forward",
     "gzip_compress", "gzipped_size", "infer_architecture", "load_artifact",
     "load_cifar10", "load_mnist", "loss_and_grad", "magnitude_threshold",
     "measure_sparsity", "model_from_params", "parse_config", "parse_model_bytes",

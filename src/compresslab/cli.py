@@ -16,7 +16,6 @@ import sys
 from . import metrics, nncore, quantization, sizing, sweep
 from .nncore import Model, TrainConfig
 from .pruning import prune_and_finetune
-from .quantization import QuantizedTensor
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input artifact (float32)")
     p.add_argument("--out", required=True)
     p.add_argument("--bits", type=int, required=True, choices=(8, 16))
-    p.add_argument("--mode", default="asymmetric", choices=("asymmetric", "symmetric"),
+    p.add_argument("--mode", default=quantization.INT8_MODES[0],
+                   choices=quantization.INT8_MODES,
                    help="int8 grid placement (ignored for 16-bit)")
     p.set_defaults(func=cmd_quantize)
 
@@ -107,9 +107,7 @@ def _train_config(args) -> TrainConfig:
 
 def _model_from_artifact(path: str, arch: str | None) -> Model:
     """Load an artifact and rebuild a Model, dequantizing if necessary."""
-    tensors = sizing.load_artifact(path)
-    params = {name: quantization.dequantize_tensor(v) if isinstance(v, QuantizedTensor) else v
-              for name, v in tensors.items()}
+    params = quantization.dequantize_params(sizing.load_artifact(path))
     if arch is None:
         arch = nncore.infer_architecture(params)
     return nncore.model_from_params(arch, params)
@@ -136,12 +134,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    tensors = sizing.load_artifact(args.input)
-    for name, value in tensors.items():
-        if isinstance(value, QuantizedTensor):
-            raise ValueError(f"tensor {name} is already quantized; quantize takes "
-                             "float32 artifacts")
-    qmap = quantization.quantize_params(tensors, args.bits, args.mode)
+    qmap = quantization.quantize_params(sizing.load_artifact(args.input), args.bits,
+                                        args.mode)
     sizing.save_artifact(args.out, qmap)
     logger.info("wrote %s", args.out)
     return 0

@@ -1,20 +1,39 @@
-"""Post-training quantization: asymmetric uint8, symmetric int8, and
-float16 conversion, all per-tensor with round-half-to-even.
+"""Post-training quantization: asymmetric uint8, symmetric int8 (the
+scale/zero-point scheme of Jacob et al., arXiv:1712.05877) and float16
+conversion, all per-tensor with round-half-to-even.  Each storage mode is
+defined once, in ``_CODECS``, which the artifact codec in ``sizing`` reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .nncore import Model
 
-ASYM_LEVELS = 255          # uint8 grid 0..255
-SYM_QMAX = 127             # int8 grid -127..127 (no -128)
-FLOAT16_MAX = 65504.0
 
-MODES = ("asymmetric", "symmetric", "float16")
+class _Codec(NamedTuple):
+    bits: int
+    payload: np.dtype                # in-memory payload dtype, little-endian
+    grid: tuple[int, int] | None     # the integer grid; None for a float mode
+    zero_points: tuple[int, int]     # the zero points QuantParams accepts
+    code: int                        # artifact dtype code
+    flag: int                        # artifact quant flag: 1 => scale and zero point follow
+    shift: int                       # stored byte = payload ^ shift, zero point - shift
+
+
+_CODECS = {
+    "float32": _Codec(32, np.dtype("<f4"), None, (0, 0), 0, 0, 0),
+    "float16": _Codec(16, np.dtype("<f2"), None, (0, 0), 1, 0, 0),
+    # uint8 payloads are stored as int8: a -128 shift, which is a flip of the top bit
+    "asymmetric": _Codec(8, np.dtype("u1"), (0, 255), (0, 255), 2, 1, 128),
+    "symmetric": _Codec(8, np.dtype("i1"), (-127, 127), (0, 0), 2, 1, 0),  # no -128
+}
+
+# the modes of 8-bit quantization; the first is the default
+INT8_MODES = tuple(mode for mode, codec in _CODECS.items() if codec.bits == 8)
 
 
 @dataclass(frozen=True)
@@ -27,34 +46,28 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        codec = _CODECS.get(self.mode)
+        if codec is None:
             raise ValueError(f"unknown quantization mode {self.mode!r}")
-        if self.mode == "float16":
-            if self.bits != 16:
-                raise ValueError(f"float16 mode requires bits=16, got {self.bits}")
-            return
-        if self.bits != 8:
-            raise ValueError(f"int8 modes require bits=8, got {self.bits}")
+        if self.bits != codec.bits:
+            raise ValueError(f"{self.mode} mode requires bits={codec.bits}, got {self.bits}")
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.mode == "symmetric" and self.zero_point != 0:
-            raise ValueError(f"symmetric zero_point must be 0, got {self.zero_point}")
-        if self.mode == "asymmetric" and not 0 <= self.zero_point <= ASYM_LEVELS:
-            raise ValueError(f"asymmetric zero_point must lie in [0, 255], got {self.zero_point}")
+        lo, hi = codec.zero_points
+        if not lo <= self.zero_point <= hi:
+            raise ValueError(f"{self.mode} zero_point {self.zero_point} lies outside [{lo}, {hi}]")
+
+
+_FLOAT32 = QuantParams(bits=32, mode="float32")
+_FLOAT16 = QuantParams(bits=16, mode="float16")
 
 
 @dataclass
 class QuantizedTensor:
     """Quantized payload plus the parameters needed to dequantize it."""
 
-    shape: tuple[int, ...]
     params: QuantParams
     payload: np.ndarray
-
-    def __post_init__(self):
-        self.shape = tuple(self.shape)
-        if self.payload.shape != self.shape:
-            raise ValueError(f"payload shape {self.payload.shape} != declared {self.shape}")
 
 
 def _check_weights(weights: np.ndarray) -> np.ndarray:
@@ -67,7 +80,7 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def compute_quant_params(weights: np.ndarray, bits: int = 8,
-                         mode: str = "asymmetric") -> QuantParams:
+                         mode: str = INT8_MODES[0]) -> QuantParams:
     """Derive scale/zero-point from a tensor's value range.
 
     The asymmetric range is widened to include zero so that exact zeros
@@ -77,84 +90,93 @@ def compute_quant_params(weights: np.ndarray, bits: int = 8,
     """
     if bits != 8:
         raise ValueError(f"int8 quantization requires bits=8, got {bits}")
-    if mode not in ("asymmetric", "symmetric"):
-        raise ValueError(f"mode must be asymmetric or symmetric, got {mode!r}")
-    w = _check_weights(weights)
+    return _fit_params(_check_weights(weights), mode)
+
+
+def _fit_params(w: np.ndarray, mode: str) -> QuantParams:
+    if mode not in INT8_MODES:
+        raise ValueError(f"mode must be {' or '.join(INT8_MODES)}, got {mode!r}")
+    codec = _CODECS[mode]
+    (qmin, qmax), (zmin, zmax) = codec.grid, codec.zero_points
     lo, hi = float(w.min()), float(w.max())
     # scales are held at float32 precision, matching their serialized width,
     # so artifacts round-trip bit-exactly
     if lo == hi:
-        c = lo
-        if c == 0.0:
-            return QuantParams(bits=8, mode=mode, scale=1.0, zero_point=0)
-        scale = float(np.float32(abs(c)))
-        if mode == "symmetric":
-            return QuantParams(bits=8, mode=mode, scale=scale, zero_point=0)
-        return QuantParams(bits=8, mode=mode, scale=scale,
-                           zero_point=0 if c > 0 else ASYM_LEVELS)
-    if mode == "symmetric":
-        scale = float(np.float32(max(abs(lo), abs(hi)) / SYM_QMAX))
-        return QuantParams(bits=8, mode=mode, scale=scale, zero_point=0)
-    rmin, rmax = min(lo, 0.0), max(hi, 0.0)
-    scale = float(np.float32((rmax - rmin) / ASYM_LEVELS))
-    zero_point = int(np.clip(np.rint(-rmin / scale), 0, ASYM_LEVELS))
-    return QuantParams(bits=8, mode=mode, scale=scale, zero_point=zero_point)
+        if lo == 0.0:
+            return QuantParams(bits=codec.bits, mode=mode)
+        return QuantParams(bits=codec.bits, mode=mode, scale=float(np.float32(abs(lo))),
+                           zero_point=zmin if lo > 0 else zmax)
+    if zmin == zmax:  # a fixed zero point: the range is symmetric about zero
+        rmax = max(-lo, hi)
+        rmin = -rmax
+    else:             # a free zero point: the range is widened to include zero
+        rmin, rmax = min(lo, 0.0), max(hi, 0.0)
+    scale = float(np.float32((rmax - rmin) / (qmax - qmin)))
+    zero_point = int(np.clip(np.rint(qmin - rmin / scale), zmin, zmax))
+    return QuantParams(bits=codec.bits, mode=mode, scale=scale, zero_point=zero_point)
+
+
+def _quantize(w: np.ndarray, params: QuantParams, name: str) -> QuantizedTensor:
+    """``w`` as ``params`` stores it; ``w`` has passed ``_check_weights``."""
+    codec = _CODECS[params.mode]
+    if codec.grid is None:
+        limit, peak = float(np.finfo(codec.payload).max), float(np.abs(w).max())
+        if peak > limit:
+            raise ValueError(
+                f"{name}: magnitude {peak:g} exceeds the {params.mode} range ({limit:g})")
+        return QuantizedTensor(params, w.astype(codec.payload))
+    q = np.rint(w.astype(np.float64) / params.scale) + params.zero_point
+    return QuantizedTensor(params, np.clip(q, *codec.grid).astype(codec.payload))
 
 
 def quantize_tensor(weights: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Map floats onto the int8 grid (round half to even, then clamp)."""
-    w = _check_weights(weights)
-    if params.mode == "float16":
-        return convert_float16(w)
-    q = np.rint(w.astype(np.float64) / params.scale)
-    if params.mode == "asymmetric":
-        payload = np.clip(q + params.zero_point, 0, ASYM_LEVELS).astype(np.uint8)
-    else:
-        payload = np.clip(q, -SYM_QMAX, SYM_QMAX).astype(np.int8)
-    return QuantizedTensor(shape=w.shape, params=params, payload=payload)
+    return _quantize(_check_weights(weights), params, "tensor")
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
-    """Back to float32: scale * (q - zero_point), or a float16 widen."""
-    if qt.params.mode == "float16":
+    """Back to float32: scale * (q - zero_point), or a float widen."""
+    p = qt.params
+    if _CODECS[p.mode].grid is None:
         return qt.payload.astype(np.float32)
-    q = qt.payload.astype(np.float64)
-    return (qt.params.scale * (q - qt.params.zero_point)).astype(np.float32)
+    return (p.scale * (qt.payload.astype(np.float64) - p.zero_point)).astype(np.float32)
 
 
 def convert_float16(weights: np.ndarray, name: str = "tensor") -> QuantizedTensor:
     """IEEE binary16 conversion (round to nearest even); overflow is an error."""
-    w = _check_weights(weights)
-    peak = float(np.abs(w).max())
-    if peak > FLOAT16_MAX:
-        raise ValueError(
-            f"{name}: magnitude {peak:g} exceeds the float16 range ({FLOAT16_MAX:g})")
-    return QuantizedTensor(shape=w.shape, params=QuantParams(bits=16, mode="float16"),
-                           payload=w.astype(np.float16))
+    return _quantize(_check_weights(weights), _FLOAT16, name)
 
 
 def quantize_params(params: dict[str, np.ndarray], bits: int,
-                    mode: str = "asymmetric") -> dict:
+                    mode: str = INT8_MODES[0]) -> dict:
     """Quantize every ``*.weight`` tensor per-tensor; other tensors pass through.
 
-    Returns a name-keyed map of QuantizedTensor (weights) and float32
-    ndarrays (biases), in the input's iteration order.
+    ``bits`` 16 stores weights as float16 and ignores ``mode``.  Returns a
+    name-keyed map of QuantizedTensor (weights) and float32 ndarrays
+    (biases), in the input's iteration order.  A map that already holds a
+    QuantizedTensor is an error.
     """
     if bits not in (8, 16):
         raise ValueError(f"bits must be 8 or 16, got {bits}")
     out = {}
     for name, arr in params.items():
+        if isinstance(arr, QuantizedTensor):
+            raise ValueError(f"tensor {name} is already quantized; quantize_params takes floats")
         if not name.endswith(".weight"):
             out[name] = np.asarray(arr, dtype=np.float32)
             continue
-        if bits == 16:
-            out[name] = convert_float16(arr, name=name)
-        else:
-            out[name] = quantize_tensor(arr, compute_quant_params(arr, 8, mode))
+        w = _check_weights(arr)
+        out[name] = _quantize(w, _fit_params(w, mode) if bits == 8 else _FLOAT16, name)
     return out
 
 
-def quantize_model(model: Model, bits: int, mode: str = "asymmetric"):
+def dequantize_params(tensors: dict) -> dict:
+    """Float32 copies of a tensor map, with every QuantizedTensor dequantized."""
+    return {name: dequantize_tensor(v) if isinstance(v, QuantizedTensor)
+            else np.array(v, dtype=np.float32) for name, v in tensors.items()}
+
+
+def quantize_model(model: Model, bits: int, mode: str = INT8_MODES[0]):
     """Per-tensor weight quantization of a whole model.
 
     Returns (quantized parameter map, evaluation model) where the evaluation
@@ -162,6 +184,4 @@ def quantize_model(model: Model, bits: int, mode: str = "asymmetric"):
     what the quantized artifact delivers.
     """
     qmap = quantize_params(model.params, bits, mode)
-    eval_params = {name: dequantize_tensor(v) if isinstance(v, QuantizedTensor) else v.copy()
-                   for name, v in qmap.items()}
-    return qmap, replace(model, params=eval_params)
+    return qmap, replace(model, params=dequantize_params(qmap))

@@ -5,15 +5,14 @@ The on-disk tensor container is a little-endian binary format:
     magic "MCMP" | version u32 | tensor count u32
     per tensor:
         name_len u16, name bytes (UTF-8)
-        dtype u8 (0 = float32, 1 = float16, 2 = int8)
-        quant flag u8 (1 => scale float32 + zero_point int32 follow)
+        dtype code u8, quant flag u8 (1 => scale float32 + zero_point int32 follow)
         ndim u8, then ndim dims as u32
         raw payload, little-endian
 
-Quantized int8 payloads store v with value = scale * (v - zero_point);
-asymmetric uint8 grids are shifted by -128 into that convention on write and
-shifted back on read.  Sizes are measured as gzip (level 9) byte counts with
-zeroed timestamp metadata, so they are reproducible.
+Each storage mode's dtype code, quant flag and payload encoding come from
+the codec table in ``quantization``; serialize_model and parse_model_bytes
+only read it.  Sizes are measured as gzip (level 9) byte counts with zeroed
+timestamp metadata, so they are reproducible.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ import zlib
 import numpy as np
 
 from .nncore import Model
-from .quantization import QuantParams, QuantizedTensor
+from .quantization import _CODECS, _FLOAT16, _FLOAT32, QuantParams, QuantizedTensor
 
 MAGIC = b"MCMP"
 FORMAT_VERSION = 1
-DTYPE_F32, DTYPE_F16, DTYPE_I8 = 0, 1, 2
 _GZIP_CHUNK = 1 << 24
 
 
@@ -37,59 +35,37 @@ class ArtifactFormatError(ValueError):
     """An artifact byte stream failed structural validation."""
 
 
-def _tensor_entries(payload) -> list[tuple[str, object]]:
-    if isinstance(payload, Model):
-        return [(name, payload.params[name]) for name in payload.param_names()]
-    return list(payload.items())
-
-
 def serialize_model(payload) -> bytes:
     """Serialize a Model or a {name: ndarray | QuantizedTensor} map to bytes.
 
     Deterministic: equal tensors in equal order produce identical bytes.
     """
-    entries = _tensor_entries(payload)
+    entries = ([(name, payload.params[name]) for name in payload.param_names()]
+               if isinstance(payload, Model) else list(payload.items()))
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(entries))]
     for name, value in entries:
         name_bytes = name.encode("utf-8")
         if not 0 < len(name_bytes) <= 0xFFFF:
             raise ValueError(f"tensor name {name!r} must encode to 1..65535 bytes")
-        if isinstance(value, QuantizedTensor):
-            p = value.params
-            if p.mode == "float16":
-                dtype, flag, extra = DTYPE_F16, 0, b""
-                raw = value.payload.astype("<f2", copy=False).tobytes()
-            else:
-                # shift asymmetric uint8 grids into the signed container convention
-                if p.mode == "asymmetric":
-                    stored = (value.payload.astype(np.int16) - 128).astype(np.int8)
-                    zero_point = p.zero_point - 128
-                else:
-                    stored = value.payload.astype(np.int8, copy=False)
-                    zero_point = p.zero_point
-                dtype, flag = DTYPE_I8, 1
-                extra = struct.pack("<fi", p.scale, zero_point)
-                raw = stored.tobytes()
-            shape = value.shape
-        else:
+        if not isinstance(value, QuantizedTensor):  # a plain array keeps float16
             arr = np.asarray(value)
-            if arr.dtype == np.float16:
-                dtype, flag, extra = DTYPE_F16, 0, b""
-                raw = arr.astype("<f2", copy=False).tobytes()
-            else:
-                arr = arr.astype(np.float32, copy=False)
-                dtype, flag, extra = DTYPE_F32, 0, b""
-                raw = arr.astype("<f4", copy=False).tobytes()
-            shape = arr.shape
+            value = QuantizedTensor(_FLOAT16 if arr.dtype == np.float16 else _FLOAT32, arr)
+        p, codec, shape = value.params, _CODECS[value.params.mode], value.payload.shape
         if len(shape) > 0xFF:
             raise ValueError(f"tensor {name}: too many dimensions ({len(shape)})")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<BBB", dtype, flag, len(shape)))
-        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
-        chunks.append(extra)
-        chunks.append(raw)
+        chunks += [struct.pack("<H", len(name_bytes)), name_bytes,
+                   struct.pack(f"<BBB{len(shape)}I", codec.code, codec.flag, len(shape), *shape)]
+        if codec.flag:
+            chunks.append(struct.pack("<fi", p.scale, p.zero_point - codec.shift))
+        stored = value.payload.astype(codec.payload, copy=False)
+        chunks.append((stored ^ codec.shift if codec.shift else stored).tobytes())
     return b"".join(chunks)
+
+
+# dtype code -> quant flag, and (dtype code, stored zero point != 0) -> (mode, codec):
+# a symmetric tensor stores zero point 0 and an asymmetric one its zero point - 128
+_FLAGS = {codec.code: codec.flag for codec in _CODECS.values()}
+_DECODE = {(codec.code, codec.shift != 0): (mode, codec) for mode, codec in _CODECS.items()}
 
 
 class _Reader:
@@ -128,39 +104,20 @@ def parse_model_bytes(data: bytes) -> dict:
                 raise ArtifactFormatError(f"duplicate tensor name {name!r} at offset {r.pos}")
             dtype, flag, ndim = r.unpack("<BBB", f"tensor {name} header")
             dims = r.unpack(f"<{ndim}I", f"tensor {name} dims")
-            size = math.prod(dims)
-            if flag not in (0, 1):
-                raise ArtifactFormatError(f"tensor {name}: bad quant flag {flag}")
-            if flag == 1 and dtype != DTYPE_I8:
-                raise ArtifactFormatError(f"tensor {name}: quant flag on non-int8 dtype {dtype}")
-            if flag == 0 and dtype == DTYPE_I8:
-                raise ArtifactFormatError(f"tensor {name}: int8 payload without quant parameters")
-            if dtype == DTYPE_I8:
-                scale, zero_point = r.unpack("<fi", f"tensor {name} quant params")
-                raw = r.take(size, f"tensor {name} payload")
-                stored = np.frombuffer(raw, dtype=np.int8).reshape(dims)
-                if zero_point == 0:
-                    params = QuantParams(bits=8, mode="symmetric", scale=float(scale))
-                    payload = stored
-                else:
-                    if not -128 <= zero_point <= 127:
-                        raise ArtifactFormatError(
-                            f"tensor {name}: zero point {zero_point} outside the int8 container")
-                    params = QuantParams(bits=8, mode="asymmetric", scale=float(scale),
-                                         zero_point=zero_point + 128)
-                    payload = (stored.astype(np.int16) + 128).astype(np.uint8)
-                out[name] = QuantizedTensor(shape=tuple(dims), params=params, payload=payload)
-            elif dtype == DTYPE_F16:
-                raw = r.take(2 * size, f"tensor {name} payload")
-                payload = np.frombuffer(raw, dtype="<f2").reshape(dims)
-                out[name] = QuantizedTensor(shape=tuple(dims),
-                                            params=QuantParams(bits=16, mode="float16"),
-                                            payload=payload)
-            elif dtype == DTYPE_F32:
-                raw = r.take(4 * size, f"tensor {name} payload")
-                out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-            else:
+            if dtype not in _FLAGS:
                 raise ArtifactFormatError(f"tensor {name}: unknown dtype code {dtype}")
+            if flag != _FLAGS[dtype]:
+                found = "without quant parameters" if flag == 0 else f"with quant flag {flag}"
+                raise ArtifactFormatError(f"tensor {name}: dtype code {dtype} {found}")
+            scale, zero_point = (r.unpack("<fi", f"tensor {name} quant params") if flag
+                                 else (1.0, 0))
+            mode, codec = _DECODE[dtype, zero_point != 0]
+            raw = r.take(math.prod(dims) * codec.payload.itemsize, f"tensor {name} payload")
+            payload = np.frombuffer(raw, dtype=codec.payload).reshape(dims)
+            payload = payload ^ codec.shift if codec.shift else payload
+            params = QuantParams(codec.bits, mode, scale, zero_point + codec.shift)
+            out[name] = payload.astype(np.float32) if params == _FLOAT32 \
+                else QuantizedTensor(params, payload)
         except ArtifactFormatError:
             raise
         except ValueError as e:  # a non-UTF-8 name, numpy's shape limits, a bad scale

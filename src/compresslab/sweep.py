@@ -39,7 +39,7 @@ class SweepConfig:
     seed: int = 0
     sparsity_grid: tuple = DEFAULT_SPARSITY_GRID
     precision_grid: tuple = DEFAULT_PRECISION_GRID
-    int8_mode: str = "asymmetric"
+    int8_mode: str = quantization.INT8_MODES[0]
     out_dir: str = "sweep-out"
 
     def __post_init__(self):
@@ -50,8 +50,8 @@ class SweepConfig:
             self.arch = DATASET_ARCHS[self.dataset]
         if self.arch not in nncore.ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.int8_mode not in ("asymmetric", "symmetric"):
-            raise ValueError(f"int8_mode must be asymmetric or symmetric, "
+        if self.int8_mode not in quantization.INT8_MODES:
+            raise ValueError(f"int8_mode must be {' or '.join(quantization.INT8_MODES)}, "
                              f"got {self.int8_mode!r}")
         sparsities = tuple(sorted(set(float(s) for s in self.sparsity_grid)))
         if not sparsities or any(not 0 <= s < 1 for s in sparsities):
@@ -154,8 +154,7 @@ def run_sweep(cfg: SweepConfig):
             try:
                 payload = eval_model = model
                 if bits < 32:
-                    payload, eval_model = quantization.quantize_model(
-                        model, bits, cfg.int8_mode if bits == 8 else "asymmetric")
+                    payload, eval_model = quantization.quantize_model(model, bits, cfg.int8_mode)
                 path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
                 size = sizing.save_artifact(path, payload)
                 acc = nncore.evaluate_accuracy(eval_model, test_data)

@@ -236,3 +236,35 @@ def test_sparse_weights_stay_zero_after_int8(tiny_trained):
     _, eval_model = quantize_model(model, 8, "asymmetric")
     for name, keep in mask.masks.items():
         assert (eval_model.params[name][~keep] == 0.0).all()
+
+
+def test_quantize_params_rejects_an_already_quantized_map():
+    params = {"0.weight": np.array([[0.5, -1.0]], dtype=np.float32),
+              "0.bias": np.zeros(2, dtype=np.float32)}
+    for bits in (8, 16):
+        qmap = quantize_params(params, bits)
+        with pytest.raises(ValueError, match="tensor 0.weight is already quantized"):
+            quantize_params(qmap, 8)
+
+
+def test_quantize_params_checks_each_weight_once(monkeypatch):
+    from compresslab import quantization
+    calls = []
+    check = quantization._check_weights
+
+    def counting_check(w):
+        calls.append(w)
+        return check(w)
+
+    monkeypatch.setattr(quantization, "_check_weights", counting_check)
+    params = {"0.weight": np.ones((2, 2), dtype=np.float32),
+              "0.bias": np.zeros(2, dtype=np.float32),
+              "1.weight": np.arange(6, dtype=np.float32)}
+    for bits in (8, 16):
+        calls.clear()
+        quantize_params(params, bits, "symmetric")
+        assert len(calls) == 2
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_params({"0.weight": np.array([1.0, np.inf])}, 8)
+    with pytest.raises(ValueError, match="mode must be asymmetric or symmetric"):
+        quantize_params(params, 8, "affine")

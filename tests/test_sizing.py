@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from compresslab.nncore import build_model
-from compresslab.quantization import (QuantParams, QuantizedTensor,
+from compresslab.quantization import (_CODECS, QuantParams, QuantizedTensor,
                                       compute_quant_params, dequantize_tensor,
                                       quantize_params, quantize_tensor)
 from compresslab.sizing import (ArtifactFormatError, gzip_compress, gzipped_size,
@@ -81,6 +81,29 @@ def test_asymmetric_midpoint_zero_point_keeps_values():
     np.testing.assert_array_equal(dequantize_tensor(parsed["w"]),
                                   dequantize_tensor(qt))
     assert serialize_model(parsed) == data
+
+
+@pytest.mark.parametrize("mode", list(_CODECS))
+def test_every_codec_round_trips(mode):
+    codec = _CODECS[mode]
+    rng = np.random.default_rng(11)
+    w = (rng.standard_normal((4, 3, 2)) * 0.4 + 0.1).astype(np.float32)
+    params = QuantParams(bits=codec.bits, mode=mode) if codec.grid is None \
+        else compute_quant_params(w, 8, mode)
+    qt = quantize_tensor(w, params)
+    data = serialize_model({"w": qt})
+    assert (data[15], data[16]) == (codec.code, codec.flag)
+    if codec.flag:  # scale and zero point follow the three u32 dims
+        assert struct.unpack_from("<fi", data, 30) == (params.scale,
+                                                       params.zero_point - codec.shift)
+    parsed = parse_model_bytes(data)["w"]
+    assert serialize_model({"w": parsed}) == data
+    if mode == "float32":  # float32 parses to a plain array
+        assert isinstance(parsed, np.ndarray)
+        parsed = QuantizedTensor(params, parsed)
+    assert parsed.payload.dtype == codec.payload
+    assert parsed.params == qt.params
+    np.testing.assert_array_equal(dequantize_tensor(parsed), dequantize_tensor(qt))
 
 
 def test_model_serializes_in_param_order(tiny_trained):
