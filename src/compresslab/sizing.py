@@ -13,10 +13,16 @@ Each storage mode's dtype code, quant flag and payload encoding come from
 the codec table in ``quantization``; serialize_model and parse_model_bytes
 only read it.  Sizes are measured as gzip (level 9) byte counts with zeroed
 timestamp metadata, so they are reproducible.
+
+gzip_compress and gzipped_size share one compressor that remembers its last
+input and stream: sizing a payload and then saving it (or sizing it twice)
+compresses it once.  A repeat is recognised by exact byte equality, and the
+remembered pair stays referenced until a different stream is compressed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
@@ -28,7 +34,6 @@ from .quantization import _CODECS, _FLOAT16, _FLOAT32, QuantParams, QuantizedTen
 
 MAGIC = b"MCMP"
 FORMAT_VERSION = 1
-_GZIP_CHUNK = 1 << 24
 
 
 class ArtifactFormatError(ValueError):
@@ -128,22 +133,31 @@ def parse_model_bytes(data: bytes) -> dict:
     return out
 
 
-def _gzip_parts(data: bytes):
-    """The level-9 gzip stream for ``data`` (zeroed mtime, no filename), piece by piece."""
+@functools.lru_cache(maxsize=1)
+def _gzip(data: bytes) -> bytes:
+    """The level-9 gzip stream for ``data`` (zeroed mtime, no filename).
+
+    Memoized on the last input, so sizing a payload and then saving it
+    compresses it once.
+    """
     comp = zlib.compressobj(9, zlib.DEFLATED, 31)
-    for start in range(0, len(data), _GZIP_CHUNK):
-        yield comp.compress(data[start:start + _GZIP_CHUNK])
-    yield comp.flush()
+    return comp.compress(data) + comp.flush()
+
+
+def _frozen(data) -> bytes:
+    """``data`` as bytes: a bytes object as is, any other buffer as a snapshot,
+    so a buffer changed after the call can never match the memo."""
+    return data if type(data) is bytes else bytes(memoryview(data))
 
 
 def gzip_compress(data: bytes) -> bytes:
     """Level-9 gzip bytes with zeroed mtime and no filename, for reproducible sizes."""
-    return b"".join(_gzip_parts(data))
+    return _gzip(_frozen(data))
 
 
 def gzipped_size(data: bytes) -> int:
     """Size in bytes of the reproducible gzip stream for ``data``."""
-    return sum(len(part) for part in _gzip_parts(data))
+    return len(_gzip(_frozen(data)))
 
 
 def reduction_factor(baseline_size: int, model_size: int) -> float:

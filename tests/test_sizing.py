@@ -208,6 +208,48 @@ def test_gzip_stream_is_reproducible_and_standard():
     assert zlib.decompress(z1, 31) == data
 
 
+def fresh_gzip(data: bytes) -> bytes:
+    """Reference stream, compressed anew with no memo."""
+    comp = zlib.compressobj(9, zlib.DEFLATED, 31)
+    return comp.compress(data) + comp.flush()
+
+
+def test_gzip_memo_interleaved_inputs_match_fresh_streams():
+    a = serialize_model(build_model("mnist-cnn", seed=0))
+    b = serialize_model(build_model("mnist-cnn", seed=1))
+    for data in (a, b, a, bytes(a), b):
+        assert gzip_compress(data) == fresh_gzip(data)
+        assert gzipped_size(data) == len(fresh_gzip(data))
+
+
+def test_gzip_memo_sees_a_buffer_changed_in_place():
+    buf = bytearray(b"compresslab " * 500)
+    first = gzip_compress(buf)
+    assert first == fresh_gzip(bytes(buf))
+    buf[100:110] = b"\xff" * 10
+    assert gzip_compress(buf) == fresh_gzip(bytes(buf)) != first
+    buf[:] = b"\x00" * len(buf)
+    assert gzipped_size(buf) == len(fresh_gzip(bytes(buf)))
+
+
+def test_gzip_of_buffers_equals_gzip_of_bytes():
+    data = serialize_model(build_model("mnist-cnn", seed=2))
+    for view in (memoryview(data), bytearray(data), memoryview(bytearray(data))):
+        assert gzip_compress(view) == gzip_compress(data) == fresh_gzip(data)
+        assert gzipped_size(view) == gzipped_size(data)
+    with pytest.raises(TypeError):
+        gzipped_size(5)  # not a byte count: bytes(5) would be five zero bytes
+
+
+def test_sizing_then_saving_compresses_once(tmp_path, tiny_trained):
+    from compresslab.sizing import _gzip
+    size = gzipped_size(serialize_model(tiny_trained))
+    before = _gzip.cache_info()
+    assert save_artifact(str(tmp_path / "m.mcmp.gz"), tiny_trained) == size
+    after = _gzip.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_sparse_models_compress_smaller(tiny_trained):
     from compresslab.pruning import build_mask
     dense_size = gzipped_size(serialize_model(tiny_trained))
