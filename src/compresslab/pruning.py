@@ -71,17 +71,27 @@ def magnitude_threshold(weights: np.ndarray, sparsity: float) -> np.ndarray:
     """Keep-mask zeroing the floor(sparsity * size) smallest-|w| entries.
 
     Ties on |w| are broken by ascending flat index, so the mask is unique
-    and reproducible.
+    and reproducible; a NaN magnitude sorts after every number.  This is the
+    mask of a stable argsort of |w|, found by a partition at k: everything
+    below the k-th smallest magnitude goes, then the lowest-index entries
+    equal to it until exactly k are gone.
     """
     if not 0 <= sparsity < 1:
         raise ValueError(f"sparsity must lie in [0, 1), got {sparsity}")
     if weights.size == 0:
         raise ValueError("cannot prune an empty tensor")
     k = math.floor(sparsity * weights.size)
-    mask = np.ones(weights.size, dtype=bool)
-    if k:
-        order = np.argsort(np.abs(weights), axis=None, kind="stable")
-        mask[order[:k]] = False
+    if not k:
+        return np.ones(weights.shape, dtype=bool)
+    mags = np.abs(weights).reshape(-1)
+    kth = np.partition(mags, k - 1)[k - 1]
+    if np.isnan(kth):
+        tied = np.isnan(mags)
+        mask = tied.copy()
+    else:
+        tied = mags == kth
+        mask = ~(mags < kth)  # NaN magnitudes stay
+    mask[np.flatnonzero(tied)[:k - (~mask).sum()]] = False
     return mask.reshape(weights.shape)
 
 

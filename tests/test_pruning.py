@@ -65,6 +65,41 @@ def test_ties_break_by_ascending_index():
     np.testing.assert_array_equal(mask2, [False, False, True, True])
 
 
+def argsort_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
+    """Reference mask by a stable argsort of |w|, which orders NaN last; the
+    Python-sort oracle cannot order NaN."""
+    k = math.floor(sparsity * weights.size)
+    mask = np.ones(weights.size, dtype=bool)
+    if k:
+        mask[np.argsort(np.abs(weights), axis=None, kind="stable")[:k]] = False
+    return mask.reshape(weights.shape)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.5, 0.0],
+    [np.nan, 1.0, -np.nan, 0.0, np.nan, -2.0, 0.5, np.nan],
+    [np.nan, np.nan, -0.0, np.nan, 0.0, np.inf, -np.inf, np.nan, 3.0, -0.0],
+    [np.nan] * 9,
+])
+def test_mask_matches_argsort_with_nan_and_negative_zero(values):
+    for dtype in (np.float16, np.float32, np.float64):
+        w = np.array(values, dtype=dtype)
+        for s in np.linspace(0.0, 0.99, 23):
+            np.testing.assert_array_equal(magnitude_threshold(w, s), argsort_mask(w, s),
+                                          err_msg=f"{dtype.__name__}, sparsity {s}")
+
+
+def test_mask_matches_argsort_on_random_nan_tensors():
+    rng = np.random.default_rng(5)
+    pool = np.array([np.nan, 0.0, -0.0, 0.25, -0.25, 1.0, -1.0, np.inf], dtype=np.float32)
+    for trial in range(300):
+        w = random_tensor(rng, tie_heavy=trial % 2 == 0)
+        w[rng.random(w.shape) < 0.2] = rng.choice(pool)
+        s = float(rng.uniform(0.0, 0.999))
+        np.testing.assert_array_equal(magnitude_threshold(w, s), argsort_mask(w, s),
+                                      err_msg=f"trial {trial}, sparsity {s}")
+
+
 def test_threshold_validation():
     with pytest.raises(ValueError, match="sparsity"):
         magnitude_threshold(np.ones(4), 1.0)
