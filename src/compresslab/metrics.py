@@ -13,6 +13,8 @@ import io
 import math
 from dataclasses import dataclass
 
+from .quantization import INT8_MODES
+
 CSV_COLUMNS = ["sparsity", "precision_bits", "int8_mode", "size_bytes",
                "reduction_factor", "accuracy_pct", "delta_acc_pp", "quality"]
 
@@ -43,6 +45,9 @@ class CompressionRecord:
             raise ValueError(f"precision_bits must be one of {VALID_BITS}")
         if (self.int8_mode is not None) != (self.precision_bits == 8):
             raise ValueError("int8_mode must be set exactly when precision_bits == 8")
+        if self.int8_mode is not None and self.int8_mode not in INT8_MODES:
+            raise ValueError(f"int8_mode must be {' or '.join(INT8_MODES)}, "
+                             f"got {self.int8_mode!r}")
         if self.size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if not 0 <= self.accuracy_pct <= 100:

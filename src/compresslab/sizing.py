@@ -104,6 +104,8 @@ def parse_model_bytes(data: bytes) -> dict:
         at = r.pos
         try:
             (name_len,) = r.unpack("<H", f"tensor {t} name length")
+            if not name_len:
+                raise ArtifactFormatError(f"tensor {t}: empty name at offset {at}")
             name = r.take(name_len, f"tensor {t} name").decode("utf-8")
             if name in out:
                 raise ArtifactFormatError(f"duplicate tensor name {name!r} at offset {r.pos}")

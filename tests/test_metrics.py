@@ -189,3 +189,13 @@ def test_csv_errors_carry_line_numbers():
         records_from_csv("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="empty"):
         records_from_csv("")
+
+
+def test_csv_rejects_an_unknown_int8_mode():
+    record = CompressionRecord(0.5, 8, "symmetric", 100, 90.0, 2.0, -1.0, -0.3)
+    text = records_to_csv([record]).replace("symmetric", "affine")
+    with pytest.raises(ValueError, match="line 2: int8_mode must be asymmetric or "
+                                         "symmetric, got 'affine'"):
+        records_from_csv(text)
+    with pytest.raises(ValueError, match="int8_mode"):
+        CompressionRecord(0.5, 8, "affine", 100, 90.0)

@@ -172,6 +172,14 @@ def test_parse_rejects_duplicate_names():
         parse_model_bytes(doubled)
 
 
+def test_parse_rejects_empty_name():
+    # one float32 tensor of shape (1,) whose name length is 0
+    blob = b"MCMP" + struct.pack("<II", 1, 1) + struct.pack("<H", 0)
+    blob += struct.pack("<BBBI", 0, 0, 1, 1) + struct.pack("<f", 0.0)
+    with pytest.raises(ArtifactFormatError, match="tensor 0: empty name at offset 12"):
+        parse_model_bytes(blob)
+
+
 def test_parse_rejects_int8_without_params():
     blob = b"MCMP" + struct.pack("<II", 1, 1)
     blob += struct.pack("<H", 1) + b"w" + struct.pack("<BBB", 2, 0, 1)
