@@ -6,6 +6,8 @@ the report rendering, and document the size/accuracy trends the desk-scale
 pipeline must reproduce qualitatively.
 """
 
+from compresslab.metrics import CompressionRecord, quality_metric
+
 CNN_ROWS = [
     (0.00, 32, 78170, None, 98.17, None, None),
     (0.00, 16, 17626, 4.43, 97.80, -0.37, -0.0875),
@@ -60,3 +62,23 @@ def baseline_accuracy(rows):
 def scored_rows(rows):
     """The non-baseline rows (quality column populated)."""
     return [r for r in rows if r[6] is not None]
+
+
+def records(rows):
+    """The rows as CompressionRecords; 8-bit rows are asymmetric, and the
+    relative columns are recomputed from the sizes and the reference deltas."""
+    base_size = baseline_size(rows)
+    out = []
+    for s, bits, size, _, acc, delta, _ in rows:
+        if delta is None:
+            out.append(CompressionRecord(
+                sparsity=s, precision_bits=bits, int8_mode=None,
+                size_bytes=size, accuracy_pct=acc))
+        else:
+            r = base_size / size
+            out.append(CompressionRecord(
+                sparsity=s, precision_bits=bits,
+                int8_mode="asymmetric" if bits == 8 else None,
+                size_bytes=size, accuracy_pct=acc, reduction_factor=r,
+                delta_acc_pp=delta, quality=quality_metric(s, bits, r, delta)))
+    return out

@@ -13,24 +13,6 @@ from compresslab.metrics import (CompressionRecord, accuracy_delta,
                                  records_from_csv, records_to_csv)
 
 
-def golden_records(rows):
-    base_size, base_acc = golden.baseline_size(rows), golden.baseline_accuracy(rows)
-    records = []
-    for s, bits, size, _, acc, delta, _ in rows:
-        if delta is None:
-            records.append(CompressionRecord(
-                sparsity=s, precision_bits=bits, int8_mode=None,
-                size_bytes=size, accuracy_pct=acc))
-        else:
-            r = base_size / size
-            records.append(CompressionRecord(
-                sparsity=s, precision_bits=bits,
-                int8_mode="asymmetric" if bits == 8 else None,
-                size_bytes=size, accuracy_pct=acc, reduction_factor=r,
-                delta_acc_pp=delta, quality=quality_metric(s, bits, r, delta)))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # quality metric against the frozen reference tables
 
@@ -119,7 +101,7 @@ def test_record_validation():
 
 
 def test_report_table_layout_and_flags():
-    rows = build_report_table(golden_records(golden.CNN_ROWS))
+    rows = build_report_table(golden.records(golden.CNN_ROWS))
     assert len(rows) == 18
     # ordered by sparsity ascending, precision descending
     keys = [(float(r["sparsity"]), int(r["precision_bits"])) for r in rows]
@@ -139,7 +121,7 @@ def test_report_table_layout_and_flags():
 
 
 def test_report_requires_exactly_one_baseline():
-    records = golden_records(golden.CNN_ROWS)
+    records = golden.records(golden.CNN_ROWS)
     with pytest.raises(ValueError, match="exactly one baseline"):
         build_report_table(records[1:])
     with pytest.raises(ValueError, match="exactly one baseline"):
@@ -149,7 +131,7 @@ def test_report_requires_exactly_one_baseline():
 
 
 def test_report_single_baseline_has_no_flags():
-    rows = build_report_table(golden_records(golden.CNN_ROWS)[:1])
+    rows = build_report_table(golden.records(golden.CNN_ROWS)[:1])
     assert rows[0]["flag"] == ""
 
 
@@ -157,7 +139,7 @@ def test_report_single_baseline_has_no_flags():
 # CSV round trip
 
 def test_csv_roundtrip_preserves_values():
-    records = golden_records(golden.ALEXNET_ROWS)
+    records = golden.records(golden.ALEXNET_ROWS)
     text = records_to_csv(records)
     parsed = records_from_csv(text)
     assert len(parsed) == len(records)
@@ -176,7 +158,7 @@ def test_csv_roundtrip_preserves_values():
 
 
 def test_csv_errors_carry_line_numbers():
-    good = records_to_csv(golden_records(golden.CNN_ROWS)[:2])
+    good = records_to_csv(golden.records(golden.CNN_ROWS)[:2])
     with pytest.raises(ValueError, match="line 1"):
         records_from_csv("a,b\n1,2\n")
     lines = good.splitlines()
