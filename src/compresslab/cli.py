@@ -19,8 +19,7 @@ from .pruning import prune_and_finetune
 
 logger = logging.getLogger(__name__)
 
-_SIZE_ACC_COLUMNS = ["sparsity", "precision_bits", "int8_mode", "size_bytes",
-                     "reduction_factor", "accuracy_pct", "delta_acc_pp"]
+_SIZE_ACC_COLUMNS = [c for c in metrics.CSV_COLUMNS if c != "quality"]
 _QUALITY_COLUMNS = ["sparsity", "precision_bits", "quality", "flag"]
 
 
@@ -174,18 +173,11 @@ def cmd_sweep(args) -> int:
 
 def _render_table(rows: list[dict[str, str]], columns: list[str], title: str,
                   fmt: str) -> str:
-    lines = []
-    if fmt == "markdown":
-        lines.append(f"## {title}")
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("|" + "|".join(" --- " for _ in columns) + "|")
-        for row in rows:
-            lines.append("| " + " | ".join(row[c] for c in columns) + " |")
-    else:
-        lines.append(f"# {title}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(row[c] for c in columns))
+    cells = [columns] + [[row[c] for c in columns] for row in rows]
+    if fmt == "csv":
+        return "\n".join([f"# {title}"] + [",".join(line) for line in cells])
+    lines = [f"## {title}"] + ["| " + " | ".join(line) + " |" for line in cells]
+    lines.insert(2, "|" + "|".join(" --- " for _ in columns) + "|")
     return "\n".join(lines)
 
 

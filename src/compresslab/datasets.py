@@ -2,12 +2,14 @@
 
 Both return float32 images in [0, 1] with NHWC layout and int64 labels in
 [0, 10).  Files may be plain or gzip-compressed; malformed files raise
-DatasetFormatError naming the file and byte offset.
+DatasetFormatError naming the file and byte offset.  ``_read_file`` is the
+package's one gzip reader; ``sizing.load_artifact`` reads through it too.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import zlib
@@ -55,14 +57,17 @@ class DatasetSplit:
         return DatasetSplit(self.images[idx], self.labels[idx])
 
 
-def _read_file(path: str) -> bytes:
+def _read_file(path: str, error: type[ValueError] = DatasetFormatError) -> bytes:
+    """``path``'s bytes, gunzipped if they start with the gzip magic.  All
+    members are read and NUL padding is allowed, as in the stdlib gzip module;
+    other trailing bytes, a cut stream or a bad CRC raise ``error``."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
         try:
             return gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as e:
-            raise DatasetFormatError(f"{path}: corrupt gzip stream: {e}") from None
+            raise error(f"{path}: corrupt gzip stream: {e}") from None
     return raw
 
 
@@ -76,38 +81,29 @@ def _find_file(directory: str, name: str) -> str:
         f"missing dataset file {name} (or {name}.gz) in {directory}")
 
 
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, magic: int) -> np.ndarray:
     raw = _read_file(path)
-    if len(raw) < 16:
-        raise DatasetFormatError(f"{path}: truncated header at offset {len(raw)}, need 16 bytes")
-    magic, n, h, w = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
+    header = 4 + 4 * (magic & 0xFF)  # the magic's low byte counts the u32 dims
+    if len(raw) < header:
         raise DatasetFormatError(
-            f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * h * w
+            f"{path}: truncated header at offset {len(raw)}, need {header} bytes")
+    found, *dims = struct.unpack(f">{header // 4}I", raw[:header])
+    if found != magic:
+        raise DatasetFormatError(
+            f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    expected = header + math.prod(dims)
     if len(raw) != expected:
         raise DatasetFormatError(
             f"{path}: payload length {len(raw)} does not match header, expected {expected}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(n, h, w, 1)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def _read_idx_labels(path: str) -> np.ndarray:
-    raw = _read_file(path)
-    if len(raw) < 8:
-        raise DatasetFormatError(f"{path}: truncated header at offset {len(raw)}, need 8 bytes")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DatasetFormatError(
-            f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(raw) != 8 + n:
-        raise DatasetFormatError(
-            f"{path}: payload length {len(raw)} does not match header, expected {8 + n}")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
+def _labels(path: str, labels: np.ndarray, first: int, stride: int) -> np.ndarray:
+    """``labels`` as int64; label i is byte ``first + i * stride`` of the file."""
     if labels.size and labels.max() > 9:
         bad = int(np.argmax(labels > 9))
         raise DatasetFormatError(
-            f"{path}: label {labels[bad]} at offset {8 + bad} is outside [0, 9]")
+            f"{path}: label {labels[bad]} at offset {first + bad * stride} is outside [0, 9]")
     return labels.astype(np.int64)
 
 
@@ -122,8 +118,8 @@ def load_mnist(directory: str) -> tuple[DatasetSplit, DatasetSplit]:
     for img_key, lbl_key in (("train_images", "train_labels"), ("test_images", "test_labels")):
         img_path = _find_file(directory, MNIST_FILES[img_key])
         lbl_path = _find_file(directory, MNIST_FILES[lbl_key])
-        images = _read_idx_images(img_path)
-        labels = _read_idx_labels(lbl_path)
+        images = _read_idx(img_path, IDX_IMAGES_MAGIC)[..., None]
+        labels = _labels(lbl_path, _read_idx(lbl_path, IDX_LABELS_MAGIC), 8, 1)
         if images.shape[1:3] != (28, 28):
             raise DatasetFormatError(
                 f"{img_path}: images are {images.shape[1]}x{images.shape[2]}, expected 28x28")
@@ -140,14 +136,9 @@ def _read_cifar_batch(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise DatasetFormatError(
             f"{path}: length {len(raw)} is not a positive multiple of {CIFAR10_RECORD}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR10_RECORD)
-    labels = records[:, 0]
-    if labels.max() > 9:
-        bad = int(np.argmax(labels > 9))
-        raise DatasetFormatError(
-            f"{path}: label {labels[bad]} at offset {bad * CIFAR10_RECORD} is outside [0, 9]")
     # stored channel-planar R,G,B; convert to HWC
     images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return images, labels.astype(np.int64)
+    return images, _labels(path, records[:, 0], 0, CIFAR10_RECORD)
 
 
 def load_cifar10(directory: str) -> tuple[DatasetSplit, DatasetSplit]:
@@ -159,10 +150,7 @@ def load_cifar10(directory: str) -> tuple[DatasetSplit, DatasetSplit]:
         directory = nested
     splits = []
     for names in (CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES):
-        images, labels = [], []
-        for name in names:
-            img, lbl = _read_cifar_batch(_find_file(directory, name))
-            images.append(img)
-            labels.append(lbl)
+        images, labels = zip(*(_read_cifar_batch(_find_file(directory, name))
+                               for name in names))
         splits.append(DatasetSplit(_scale(np.concatenate(images)), np.concatenate(labels)))
     return splits[0], splits[1]

@@ -4,6 +4,9 @@ The scalar quality score rewards sparsity and low precision, gated by the
 accuracy change (in raw percentage points) and the size reduction factor:
 
     Q = ((s + 8/p) / 2) * tanh(delta_acc) * sigmoid(r)
+
+Each results column is defined once, in ``_COLUMNS`` (its parser, CSV text
+and report text), which the CSV writer and reader and the report table read.
 """
 
 from __future__ import annotations
@@ -11,12 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .quantization import INT8_MODES
-
-CSV_COLUMNS = ["sparsity", "precision_bits", "int8_mode", "size_bytes",
-               "reduction_factor", "accuracy_pct", "delta_acc_pp", "quality"]
 
 VALID_BITS = (8, 16, 32)
 
@@ -81,12 +83,41 @@ def quality_metric(sparsity: float, precision_bits: int, reduction: float,
 
 
 # ---------------------------------------------------------------------------
-# report rendering
+# the results columns: one table for the CSV and the report
 
 def _fmt_sparsity(s: float) -> str:
-    text = f"{s:.4f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    return f"{s:.4f}".rstrip("0").rstrip(".")  # 0 keeps its digit before the point
 
+
+class _Column(NamedTuple):
+    parse: Callable[[str], object]   # CSV text -> value
+    csv: Callable[[object], str]     # value -> CSV text
+    report: Callable[[object], str]  # value -> report text
+    optional: bool = False           # None is written "" in the CSV and "-" in the report
+
+
+_COLUMNS = {
+    "sparsity": _Column(float, _fmt_sparsity, _fmt_sparsity),
+    "precision_bits": _Column(int, str, str),
+    "int8_mode": _Column(str, str, str, optional=True),
+    "size_bytes": _Column(int, str, str),
+    "reduction_factor": _Column(float, "{:.6f}".format, "{:.2f}".format, optional=True),
+    "accuracy_pct": _Column(float, "{:.6f}".format, "{:.2f}".format),
+    "delta_acc_pp": _Column(float, "{:.6f}".format, "{:.2f}".format, optional=True),
+    "quality": _Column(float, "{:.6f}".format, "{:.4f}".format, optional=True),
+}
+CSV_COLUMNS = list(_COLUMNS)
+
+
+def _texts(record: CompressionRecord, field: str, missing: str) -> dict[str, str]:
+    """Each column of ``record`` as text, by the table's ``field`` formatter."""
+    values = vars(record)
+    return {name: missing if values[name] is None else getattr(column, field)(values[name])
+            for name, column in _COLUMNS.items()}
+
+
+# ---------------------------------------------------------------------------
+# report rendering
 
 def build_report_table(records: list[CompressionRecord]) -> list[dict[str, str]]:
     """Format records as display rows, flagging the best and worst quality.
@@ -102,35 +133,14 @@ def build_report_table(records: list[CompressionRecord]) -> list[dict[str, str]]
         raise ValueError(f"need exactly one baseline record, found {len(baselines)}")
     ordered = sorted(records, key=lambda r: (r.sparsity, -r.precision_bits))
     scored = [r for r in ordered if r.quality is not None]
-    best = max(scored, key=lambda r: r.quality) if scored else None
-    worst = min(scored, key=lambda r: r.quality) if scored else None
-    rows = []
-    for r in ordered:
-        flag = ""
-        if scored and r is best:
-            flag = "best"
-        elif scored and r is worst:
-            flag = "worst"
-        rows.append({
-            "sparsity": _fmt_sparsity(r.sparsity),
-            "precision_bits": str(r.precision_bits),
-            "int8_mode": r.int8_mode or "-",
-            "size_bytes": str(r.size_bytes),
-            "reduction_factor": "-" if r.reduction_factor is None else f"{r.reduction_factor:.2f}",
-            "accuracy_pct": f"{r.accuracy_pct:.2f}",
-            "delta_acc_pp": "-" if r.delta_acc_pp is None else f"{r.delta_acc_pp:.2f}",
-            "quality": "-" if r.quality is None else f"{r.quality:.4f}",
-            "flag": flag,
-        })
-    return rows
+    quality, flags = operator.attrgetter("quality"), {}
+    if scored:  # keyed by identity, as records compare by value; a lone one is the best
+        flags = {id(min(scored, key=quality)): "worst", id(max(scored, key=quality)): "best"}
+    return [{**_texts(r, "report", "-"), "flag": flags.get(id(r), "")} for r in ordered]
 
 
 # ---------------------------------------------------------------------------
 # sweep CSV round-trip
-
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
 
 def records_to_csv(records: list[CompressionRecord]) -> str:
     """Fixed-format CSV so identical records give identical bytes."""
@@ -138,26 +148,17 @@ def records_to_csv(records: list[CompressionRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow([
-            _fmt_sparsity(r.sparsity),
-            str(r.precision_bits),
-            r.int8_mode or "",
-            str(r.size_bytes),
-            _fmt_opt(r.reduction_factor),
-            f"{r.accuracy_pct:.6f}",
-            _fmt_opt(r.delta_acc_pp),
-            _fmt_opt(r.quality),
-        ])
+        writer.writerow(_texts(r, "csv", "").values())
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[CompressionRecord]:
-    """Parse records_to_csv output; malformed rows raise with their line number."""
+    """Parse records_to_csv output; malformed rows raise with their line number.
+    An empty field is None in an optional column and bad text in any other."""
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV") from None
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty CSV")
     if header != CSV_COLUMNS:
         raise ValueError(f"line 1: bad header {header}, expected {CSV_COLUMNS}")
     records = []
@@ -167,16 +168,9 @@ def records_from_csv(text: str) -> list[CompressionRecord]:
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"line {lineno}: {len(row)} fields, expected {len(CSV_COLUMNS)}")
         try:
-            records.append(CompressionRecord(
-                sparsity=float(row[0]),
-                precision_bits=int(row[1]),
-                int8_mode=row[2] or None,
-                size_bytes=int(row[3]),
-                reduction_factor=float(row[4]) if row[4] else None,
-                accuracy_pct=float(row[5]),
-                delta_acc_pp=float(row[6]) if row[6] else None,
-                quality=float(row[7]) if row[7] else None,
-            ))
+            records.append(CompressionRecord(**{
+                name: None if column.optional and not text else column.parse(text)
+                for (name, column), text in zip(_COLUMNS.items(), row)}))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
     return records

@@ -454,6 +454,8 @@ class TrainConfig:
                 f"batch_size must be in (0, {num_examples}], got {self.batch_size}")
         if not 0 <= self.val_split < 1:
             raise ValueError(f"val_split must be in [0, 1), got {self.val_split}")
+        if round(self.val_split * num_examples) >= num_examples:  # split_train_val's count
+            raise ValueError(f"val_split {self.val_split} holds out all {num_examples} examples")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 

@@ -53,6 +53,9 @@ class QuantParams:
             raise ValueError(f"{self.mode} mode requires bits={codec.bits}, got {self.bits}")
         if not (self.scale > 0 and np.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not isinstance(self.zero_point, (int, np.integer)):
+            raise ValueError(f"zero_point must be an integer, got {self.zero_point!r}")
+        object.__setattr__(self, "zero_point", int(self.zero_point))  # a numpy uint8 would wrap
         lo, hi = codec.zero_points
         if not lo <= self.zero_point <= hi:
             raise ValueError(f"{self.mode} zero_point {self.zero_point} lies outside [{lo}, {hi}]")

@@ -18,6 +18,7 @@ gzip_compress and gzipped_size share one compressor that remembers its last
 input and stream: sizing a payload and then saving it (or sizing it twice)
 compresses it once.  A repeat is recognised by exact byte equality, and the
 remembered pair stays referenced until a different stream is compressed.
+load_artifact reads gzip through the dataset loaders' one reader.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import zlib
 
 import numpy as np
 
+from .datasets import _read_file
 from .nncore import Model
 from .quantization import _CODECS, _FLOAT16, _FLOAT32, QuantParams, QuantizedTensor
 
@@ -181,12 +183,7 @@ def save_artifact(path: str, payload) -> int:
 
 
 def load_artifact(path: str) -> dict:
-    """Read a serialized artifact (gzip detected by magic) back to a tensor map."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            raw = zlib.decompress(raw, 31)
-        except zlib.error as e:
-            raise ArtifactFormatError(f"{path}: corrupt gzip stream: {e}") from None
-    return parse_model_bytes(raw)
+    """Read a serialized artifact (gzip detected by magic) back to a tensor map.
+    Bytes after the gzip stream other than NUL padding are rejected, a second
+    member included: it is inflated, then refused as trailing bytes."""
+    return parse_model_bytes(_read_file(path, ArtifactFormatError))

@@ -158,20 +158,18 @@ def run_sweep(cfg: SweepConfig):
                 path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
                 size = sizing.save_artifact(path, payload)
                 acc = nncore.evaluate_accuracy(eval_model, test_data)
+                scores = {}  # the baseline is its own reference point
                 if s == 0.0 and bits == 32:
                     base_size, base_acc = size, acc
-                    records.append(CompressionRecord(
-                        sparsity=s, precision_bits=bits, int8_mode=None,
-                        size_bytes=size, accuracy_pct=acc))
                 else:
-                    mode = cfg.int8_mode if bits == 8 else None
                     delta = metrics.accuracy_delta(acc, base_acc)
                     reduction = sizing.reduction_factor(base_size, size)
-                    records.append(CompressionRecord(
-                        sparsity=s, precision_bits=bits, int8_mode=mode,
-                        size_bytes=size, accuracy_pct=acc,
-                        reduction_factor=reduction, delta_acc_pp=delta,
-                        quality=metrics.quality_metric(s, bits, reduction, delta)))
+                    scores = {"reduction_factor": reduction, "delta_acc_pp": delta,
+                              "quality": metrics.quality_metric(s, bits, reduction, delta)}
+                records.append(CompressionRecord(
+                    sparsity=s, precision_bits=bits,
+                    int8_mode=cfg.int8_mode if bits == 8 else None,
+                    size_bytes=size, accuracy_pct=acc, **scores))
                 logger.info("cell s=%s p=%d: %d bytes, %.2f%% accuracy",
                             _fmt_sparsity(s), bits, size, acc)
             except Exception as e:

@@ -13,6 +13,7 @@ from compresslab.nncore import (LayerSpec, Model, ShapeMismatchError, TrainConfi
                                 epoch_learning_rate, evaluate_accuracy, forward,
                                 infer_architecture, loss_and_grad, model_from_params,
                                 split_train_val, train)
+from compresslab.pruning import prune_and_finetune
 from conftest import synthetic_dataset
 
 
@@ -320,6 +321,20 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=10, learning_rate=-0.1).validate(data_len)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=10, learning_rate=0.1, val_split=1.0).validate(data_len)
+
+
+def test_val_split_must_leave_a_training_example():
+    data = synthetic_dataset(3, seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, val_split=0.9)
+    message = "val_split 0.9 holds out all 3 examples"
+    with pytest.raises(ValueError, match=message):
+        cfg.validate(len(data))
+    with pytest.raises(ValueError, match=message):
+        train(build_model("mnist-cnn", seed=0), data, cfg)
+    with pytest.raises(ValueError, match=message):
+        prune_and_finetune(build_model("mnist-cnn", seed=0), data, cfg, 0.5)
+    # 0.5 of 3 holds out round(1.5) = 2 examples and trains on the third
+    TrainConfig(epochs=1, batch_size=1, learning_rate=0.1, val_split=0.5).validate(3)
 
 
 # ---------------------------------------------------------------------------

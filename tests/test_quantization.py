@@ -10,6 +10,7 @@ from compresslab.quantization import (QuantParams, QuantizedTensor,
                                       dequantize_tensor, quantize_model,
                                       quantize_params, quantize_tensor)
 from compresslab.nncore import build_model
+from compresslab.sizing import parse_model_bytes, serialize_model
 
 
 def roundtrip(w, mode):
@@ -96,6 +97,20 @@ def test_param_validation():
         QuantParams(bits=8, mode="symmetric", scale=0.0)
     with pytest.raises(ValueError, match="float16 mode"):
         QuantParams(bits=8, mode="float16")
+
+
+def test_zero_point_must_be_an_integer():
+    for zero_point in (3.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="zero_point must be an integer"):
+            QuantParams(8, "asymmetric", 0.5, zero_point)
+    # numpy integers are accepted and held as Python ints, so the artifact's
+    # zero-point shift cannot wrap them
+    payload = np.array([3, 4], dtype=np.uint8)
+    for zero_point in (np.uint8(3), np.int8(3), np.int64(3)):
+        params = QuantParams(8, "asymmetric", 0.5, zero_point)
+        assert type(params.zero_point) is int and params == QuantParams(8, "asymmetric", 0.5, 3)
+        parsed = parse_model_bytes(serialize_model({"w": QuantizedTensor(params, payload)}))
+        assert parsed["w"].params == params
 
 
 def test_rounding_is_half_to_even():

@@ -303,6 +303,24 @@ def test_save_and_load_artifact(tmp_path, tiny_trained):
         load_artifact(str(cut))
 
 
+def test_load_artifact_rejects_data_after_the_gzip_stream(tmp_path):
+    data = serialize_model({"w": np.arange(4, dtype=np.float32)})
+    stream = gzip_compress(data)
+    junk = tmp_path / "junk.mcmp.gz"
+    junk.write_bytes(stream + b"JUNKJUNK")
+    with pytest.raises(ArtifactFormatError, match="junk.mcmp.gz: corrupt gzip stream"):
+        load_artifact(str(junk))
+    # a second member is inflated too, so the container sees trailing bytes
+    twice = tmp_path / "twice.mcmp.gz"
+    twice.write_bytes(stream + stream)
+    with pytest.raises(ArtifactFormatError,
+                       match=f"{len(data)} trailing bytes after the last tensor"):
+        load_artifact(str(twice))
+    padded = tmp_path / "padded.mcmp.gz"
+    padded.write_bytes(stream + bytes(16))
+    np.testing.assert_array_equal(load_artifact(str(padded))["w"], np.arange(4))
+
+
 def test_load_artifact_quantized_roundtrip(tmp_path, tiny_trained):
     qmap = quantize_params(tiny_trained.params, 8, "asymmetric")
     path = str(tmp_path / "q.mcmp.gz")
