@@ -93,7 +93,7 @@ class _Column(NamedTuple):
     parse: Callable[[str], object]   # CSV text -> value
     csv: Callable[[object], str]     # value -> CSV text
     report: Callable[[object], str]  # value -> report text
-    optional: bool = False           # None is written "" in the CSV and "-" in the report
+    optional: bool = False           # may be None: "" in the CSV, "-" in the report
 
 
 _COLUMNS = {
