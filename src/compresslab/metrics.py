@@ -54,6 +54,14 @@ class CompressionRecord:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if not 0 <= self.accuracy_pct <= 100:
             raise ValueError(f"accuracy_pct must lie in [0, 100], got {self.accuracy_pct}")
+        if self.reduction_factor is not None and not (
+                self.reduction_factor > 0 and math.isfinite(self.reduction_factor)):
+            raise ValueError(f"reduction_factor must be positive and finite, "
+                             f"got {self.reduction_factor}")
+        for name in ("delta_acc_pp", "quality"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def is_baseline(self) -> bool:

@@ -13,13 +13,27 @@ the input gradient.  The first layer's input gradient, which nothing uses,
 is not computed.  Maxpool is the elementwise max of each 2x2 window's four
 corners; a tie (-0.0 vs 0.0 included) goes to the first corner in row-major
 order, in the output and in the gradient.
+
+The conv kernels, and nothing else, use one private helper thread when more
+than one CPU is usable and the GEMM has at least 2**26 multiply-adds (true of
+cifar-smallnet's convs at batch 128, not of mnist-cnn's).  In the forward
+pass it fills and multiplies the patch rows of the first N // 2 examples
+while the calling thread does the rest; in the backward pass it computes the
+weight gradient while the calling thread sums the bias gradient and runs the
+input-gradient taps.  A row split of a conv GEMM gives the same bits as the
+whole GEMM, and each part writes its own arrays, so the bits still depend
+only on the machine and the BLAS thread count, not on whether the helper
+runs.  Dense GEMMs are never split: their bits change with the number of
+rows.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +68,50 @@ def derive_seed(seed: int, *stream: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the conv kernels' helper thread
+
+def _new_helper() -> None:
+    """(Re)make the helper; its thread starts on the first submit, not here."""
+    global _helper
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="nncore-helper")
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)  # a forked child inherits no thread
+
+
+# A conv GEMM of fewer multiply-adds runs on the calling thread alone.
+# mnist-cnn's (9.3M at batch 128) ran no faster with the helper, and on a
+# busy machine waiting for it stretched some sweep rounds from 5 to 8-9 s;
+# cifar-smallnet's first conv has 340M at batch 128.
+_MIN_HELPER_MACS = 1 << 26
+
+
+def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None],
+                 macs: int) -> None:
+    """Run ``helper_part()`` on the helper thread and ``own_part()`` on this one.
+
+    Returns when both have finished, also when either raises.  With one
+    usable CPU, or for a GEMM of fewer than ``_MIN_HELPER_MACS`` multiply-adds,
+    both run here, in that order.  The parts write disjoint arrays that the
+    caller allocated, so the bits do not depend on where they ran.  The helper
+    part allocates no array (a second malloc arena costs resident memory) and
+    calls no public function of the package.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if macs < _MIN_HELPER_MACS or (cpus or 1) < 2:
+        helper_part()
+        own_part()
+        return
+    job = _helper.submit(helper_part)
+    try:
+        own_part()
+    finally:
+        job.result()
+
+
+# ---------------------------------------------------------------------------
 # layers: one table of kinds, and the passes that loop over it
 
 def _conv2d_shape(spec, shape):
@@ -65,44 +123,67 @@ def _conv2d_shape(spec, shape):
     return (oh, ow, spec.filters)
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N*OH*OW, k*k*C) patch matrix for valid convolution."""
+def _windows_of(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(N,H,W,C) -> read-only (N, OH, OW, k, k, C) view of every k x k window."""
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     n, h, w, c = x.shape
-    oh, ow = h - k + 1, w - k + 1
     s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
-    return windows.reshape(n * oh * ow, k * k * c)
+    return np.lib.stride_tricks.as_strided(
+        x, (n, h - k + 1, w - k + 1, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
 
 
 def _conv2d_forward(spec, x, w, b):
-    # one flat GEMM: a 4-D operand would make numpy run N*OH small ones
-    cols = _im2col(x, w.shape[0], spec.padding)
-    y = cols @ w.reshape(-1, w.shape[3]) + b
-    return y.reshape(x.shape[0], *_conv2d_shape(spec, x.shape[1:])), (cols, x.shape)
+    """One flat GEMM over the (N*OH*OW, k*k*C) patch matrix, split by rows.
+
+    The helper thread copies the windows of the first N // 2 examples into
+    their rows of the patch matrix and multiplies them, this thread the rest.
+    A 4-D operand would make numpy run N*OH small GEMMs instead.
+    """
+    n, (oh, ow, f) = x.shape[0], _conv2d_shape(spec, x.shape[1:])
+    w2 = w.reshape(-1, f)
+    # y before the short-lived padded input: the other order left ~10 MB more
+    # peak RSS in a cifar-smallnet training run (heap fragmentation)
+    y = np.empty((n * oh * ow, f), dtype=np.result_type(x, w2))
+    windows = _windows_of(x, w.shape[0], spec.padding)
+    cols = np.empty(windows.shape, dtype=windows.dtype)
+    flat = cols.reshape(n * oh * ow, -1)
+
+    def rows(lo, hi):
+        np.copyto(cols[lo:hi], windows[lo:hi])
+        r = slice(lo * oh * ow, hi * oh * ow)
+        np.matmul(flat[r], w2, out=y[r])
+        y[r] += b
+
+    _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n), flat.size * f)
+    return y.reshape(n, oh, ow, f), (flat, x.shape)
 
 
-def _conv2d_grads(spec, dy, cache, w, b):
-    cols, _ = cache
-    dw = (cols.T @ dy.reshape(-1, w.shape[3])).reshape(w.shape)
-    return dw, dy.sum(axis=(0, 1, 2))
+def _conv2d_backward(spec, dy, cache, need_dx, w, b):
+    """Weight gradient on the helper thread; bias sum and input gradient here.
 
-
-def _conv2d_backward(spec, dy, cache, w, b):
-    """col2im one kernel tap at a time, in (i, j) order, into a padded dx."""
+    The input gradient is col2im one kernel tap at a time, in (i, j) order,
+    into a padded dx.
+    """
     pad = spec.padding
-    _, (n, h, wd, c) = cache
+    cols, (n, h, wd, c) = cache
     _, oh, ow, f = dy.shape
     dy2 = dy.reshape(-1, f)
-    dx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=dy.dtype)
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            dx[:, i:i + oh, j:j + ow, :] += (dy2 @ w[i, j].T).reshape(n, oh, ow, c)
-    if pad:
+    dw = np.empty((cols.shape[1], f), dtype=np.result_type(cols, dy2))
+    db = np.empty(f, dtype=dy.dtype)
+    dx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=dy.dtype) if need_dx else None
+
+    def bias_and_input_grads():
+        dy.sum(axis=(0, 1, 2), out=db)
+        if need_dx:
+            for i in range(w.shape[0]):
+                for j in range(w.shape[1]):
+                    dx[:, i:i + oh, j:j + ow, :] += (dy2 @ w[i, j].T).reshape(n, oh, ow, c)
+
+    _in_parallel(lambda: np.matmul(cols.T, dy2, out=dw), bias_and_input_grads, cols.size * f)
+    if need_dx and pad:
         dx = dx[:, pad:-pad, pad:-pad, :]
-    return (dx,)
+    return dx, (dw.reshape(w.shape), db)
 
 
 def _maxpool_shape(spec, shape):
@@ -138,30 +219,29 @@ def _maxpool_winners(x, y):
     return hit
 
 
-def _maxpool_backward(spec, dy, cache):
+def _maxpool_backward(spec, dy, cache, need_dx):
     x, y = cache
     # dy's bits times 0 or 1 give dy exactly at the winner (-0.0 and inf
     # too) and +0.0 elsewhere, without np.where's per-element branch
     bits = np.dtype(f"u{dy.itemsize}")
     dx = dy.view(bits)[:, :, None, :, None, :] * _maxpool_winners(x, y)
-    return (dx.view(dy.dtype).reshape(x.shape),)
+    return dx.view(dy.dtype).reshape(x.shape), ()
 
 
 @dataclass(frozen=True)
 class _LayerKind:
     """Everything the engine knows about one layer kind.
 
-    ``forward(spec, x, *params)`` gives (y, cache), ``backward(spec, dy, cache,
-    *params)`` gives (dx,) and, for a kind with ``params``, ``grads(spec, dy,
-    cache, *params)`` gives (weight grad, bias grad); params is (weight, bias)
-    for such a kind, else empty.  The softmax has no kernels: the engine fuses
-    it with the loss, so it must be the last layer.  Errors omit the layer's
-    position.
+    ``forward(spec, x, *params)`` gives (y, cache) and ``backward(spec, dy,
+    cache, need_dx, *params)`` gives (dx, param grads); params is (weight,
+    bias) for a kind with ``params``, else empty, and so are its grads.  A
+    kind may skip dx and give None when ``need_dx`` is false.  The softmax
+    has no kernels: the engine fuses it with the loss, so it must be the last
+    layer.  Errors omit the layer's position.
     """
 
     forward: Callable | None
     backward: Callable | None
-    grads: Callable | None = None
     shape: Callable = lambda spec, shape: shape  # (spec, input shape) -> output shape
     rank: int = 0  # the input's number of dims, if fixed
     params: Callable | None = None  # (spec, input shape) -> (weight shape, bias shape)
@@ -170,7 +250,7 @@ class _LayerKind:
 
 _KINDS: dict[str, _LayerKind] = {
     "conv2d": _LayerKind(
-        forward=_conv2d_forward, backward=_conv2d_backward, grads=_conv2d_grads,
+        forward=_conv2d_forward, backward=_conv2d_backward,
         shape=_conv2d_shape, rank=3,
         params=lambda spec, shape: ((spec.kernel_size, spec.kernel_size, shape[2], spec.filters),
                                     (spec.filters,)),
@@ -179,18 +259,18 @@ _KINDS: dict[str, _LayerKind] = {
         forward=_maxpool_forward, backward=_maxpool_backward, shape=_maxpool_shape, rank=3),
     "flatten": _LayerKind(
         forward=lambda spec, x: (x.reshape(x.shape[0], -1), x.shape),
-        backward=lambda spec, dy, x_shape: (dy.reshape(x_shape),),
+        backward=lambda spec, dy, x_shape, need_dx: (dy.reshape(x_shape), ()),
         shape=lambda spec, shape: (int(np.prod(shape)),)),
     "dense": _LayerKind(
         forward=lambda spec, x, w, b: (x @ w + b, x),
-        backward=lambda spec, dy, x, w, b: (dy @ w.T,),
-        grads=lambda spec, dy, x, w, b: (x.T @ dy, dy.sum(axis=0)),
+        backward=lambda spec, dy, x, need_dx, w, b: (
+            dy @ w.T if need_dx else None, (x.T @ dy, dy.sum(axis=0))),
         shape=lambda spec, shape: (spec.units,), rank=1,
         params=lambda spec, shape: ((shape[0], spec.units), (spec.units,)),
         valid=lambda spec: spec.units >= 1),
     "relu": _LayerKind(
         forward=lambda spec, x: (np.maximum(x, 0), x > 0),
-        backward=lambda spec, dy, positive: (dy * positive,)),
+        backward=lambda spec, dy, positive, need_dx: (dy * positive, ())),
     "softmax": _LayerKind(forward=None, backward=None, rank=1),
 }
 
@@ -344,13 +424,11 @@ def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
     grads = {}
     for i in range(len(model.layers) - 2, -1, -1):
         spec = model.layers[i]
-        kind, cache = _KINDS[spec.kind], caches.pop()
         names = _param_names(i, spec)
-        params = [model.params[name] for name in names]
-        if kind.grads:
-            grads.update(zip(names, kind.grads(spec, dy, cache, *params)))
-        if i:  # nothing uses the gradient at the model input
-            (dy,) = kind.backward(spec, dy, cache, *params)
+        # nothing uses the gradient at the model input, so layer 0 needs no dx
+        dy, layer_grads = _KINDS[spec.kind].backward(
+            spec, dy, caches.pop(), i > 0, *[model.params[name] for name in names])
+        grads.update(zip(names, layer_grads))
     return loss, {name: grads[name] for name in model.param_names()}
 
 

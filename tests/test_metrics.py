@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import golden
-from compresslab.metrics import (CompressionRecord, accuracy_delta,
+from compresslab.metrics import (CSV_COLUMNS, CompressionRecord, accuracy_delta,
                                  build_report_table, quality_metric,
                                  records_from_csv, records_to_csv)
 
@@ -181,3 +181,22 @@ def test_csv_rejects_an_unknown_int8_mode():
         records_from_csv(text)
     with pytest.raises(ValueError, match="int8_mode"):
         CompressionRecord(0.5, 8, "affine", 100, 90.0)
+
+
+def test_csv_rejects_non_finite_scores_and_a_non_positive_reduction():
+    lines = records_to_csv(golden.records(golden.CNN_ROWS)).splitlines()
+    row = lines.index(next(line for line in lines if line.startswith("0,16,")))
+    fields = lines[row].split(",")
+    for column, text, message in [
+            ("quality", "nan", "quality must be finite, got nan"),
+            ("delta_acc_pp", "inf", "delta_acc_pp must be finite, got inf"),
+            ("reduction_factor", "-3", "reduction_factor must be positive and finite, got -3"),
+            ("reduction_factor", "0", "reduction_factor must be positive and finite, got 0"),
+            ("reduction_factor", "nan", "reduction_factor must be positive and finite")]:
+        bad = fields.copy()
+        bad[CSV_COLUMNS.index(column)] = text
+        edited = lines[:row] + [",".join(bad)] + lines[row + 1:]
+        with pytest.raises(ValueError, match=f"line {row + 1}: {message}"):
+            records_from_csv("\n".join(edited) + "\n")
+    with pytest.raises(ValueError, match="quality must be finite"):
+        CompressionRecord(0.5, 16, None, 100, 90.0, 2.0, -1.0, math.nan)

@@ -3,6 +3,11 @@ oracles, determinism, and training behaviour on synthetic data.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from compresslab.nncore import (LayerSpec, Model, ShapeMismatchError, TrainConfi
                                 infer_architecture, loss_and_grad, model_from_params,
                                 split_train_val, train)
 from compresslab.pruning import prune_and_finetune
-from conftest import synthetic_dataset
+from conftest import synthetic_cifar_dataset, synthetic_dataset
 
 
 def tiny_model(seed=0, dtype=np.float32):
@@ -83,7 +88,7 @@ def test_maxpool_tie_routes_gradient_to_first():
     x = np.full((1, 2, 2, 1), 3.0)
     y, cache = nncore._maxpool_forward(POOL, x)
     assert y[0, 0, 0, 0] == 3.0
-    (dx,) = nncore._maxpool_backward(POOL, np.ones((1, 1, 1, 1)), cache)
+    dx, _ = nncore._maxpool_backward(POOL, np.ones((1, 1, 1, 1)), cache, True)
     np.testing.assert_array_equal(dx.reshape(4), [1.0, 0.0, 0.0, 0.0])
 
 
@@ -119,7 +124,7 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(dtype):
     dy = rng.standard_normal((3, 4, 3, 5)).astype(dtype)
     dy[0, 0, 0, 1] = -0.0
     y, cache = nncore._maxpool_forward(POOL, x)
-    (dx,) = nncore._maxpool_backward(POOL, dy, cache)
+    dx, _ = nncore._maxpool_backward(POOL, dy, cache, True)
     y_ref, dx_ref = _argmax_maxpool(x, dy)
     _assert_same_bits(y, y_ref)
     _assert_same_bits(dx, dx_ref)
@@ -129,6 +134,149 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(dtype):
     y, _ = nncore._maxpool_forward(POOL, x)
     _assert_same_bits(y, _argmax_maxpool(x, dy)[0])
     assert np.isnan(y[0, 2, 1, 3])
+
+
+# ---------------------------------------------------------------------------
+# the conv kernels' helper thread: the same bits with it and without it
+
+BATCH_SIZES = [1, 2, 3, 64, 127, 128]
+MULTI_CPU = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") else False
+
+
+def _one_cpu(monkeypatch):
+    """Send the conv kernels down their one-CPU branch, with no helper to use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(nncore, "_helper", None)
+
+
+@pytest.fixture
+def split_every_conv(monkeypatch):
+    """Hand every conv GEMM to the helper, however small (mnist-cnn's too)."""
+    monkeypatch.setattr(nncore, "_MIN_HELPER_MACS", 0)
+
+
+def _grads_and_probs(model, data, n):
+    loss, grads = loss_and_grad(model, data.images[:n], data.labels[:n])
+    return loss, grads, forward(model, data.images[:n])
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
+@pytest.mark.parametrize("arch, dataset", [("mnist-cnn", synthetic_dataset),
+                                           ("cifar-smallnet", synthetic_cifar_dataset)],
+                         ids=["mnist-cnn", "cifar-smallnet"])
+def test_helper_thread_gives_the_inline_bits(arch, dataset, monkeypatch, split_every_conv):
+    model, data = build_model(arch, seed=3), dataset(max(BATCH_SIZES), seed=4)
+    for n in BATCH_SIZES:
+        threaded = _grads_and_probs(model, data, n)
+        assert any(t.name.startswith("nncore-helper") for t in threading.enumerate())
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            inline = _grads_and_probs(model, data, n)
+        assert threaded[0] == inline[0]
+        for name in model.param_names():
+            _assert_same_bits(threaded[1][name], inline[1][name])
+        _assert_same_bits(threaded[2], inline[2])
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
+def test_concurrent_callers_share_the_helper_and_keep_their_bits(split_every_conv):
+    model, data = build_model("cifar-smallnet", seed=8), synthetic_cifar_dataset(12, seed=9)
+    batches = [(data.images[i:i + 4], data.labels[i:i + 4]) for i in range(0, 12, 4)]
+    expected = [loss_and_grad(model, x, y)[1] for x, y in batches]
+    results = [None] * len(batches)
+
+    def worker(i):
+        results[i] = loss_and_grad(model, *batches[i])[1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected):
+        for name in model.param_names():
+            _assert_same_bits(got[name], want[name])
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
+def test_small_conv_gemms_stay_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(nncore, "_helper", None)  # any use of the helper would raise
+    model, data = build_model("mnist-cnn", seed=1), synthetic_dataset(128, seed=1)
+    loss_and_grad(model, data.images, data.labels)
+    evaluate_accuracy(model, data)
+
+
+def _single_gemm_conv(spec, x, w, b):
+    """The unsplit formula: one patch-matrix copy, one GEMM, one bias add."""
+    k, pad, f = spec.kernel_size, spec.padding, spec.filters
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    n, oh, ow, c = win.shape[:4]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
+    return (cols @ w.reshape(-1, f) + b).reshape(n, oh, ow, f)
+
+
+@pytest.mark.parametrize("arch, layer", [("mnist-cnn", 0), ("cifar-smallnet", 0),
+                                         ("cifar-smallnet", 3)])
+def test_split_conv_forward_equals_one_gemm(arch, layer, split_every_conv):
+    """A row split of a conv GEMM keeps every bit: the property the helper relies on."""
+    model = build_model(arch, seed=5)
+    spec = model.layers[layer]
+    in_shape = [model.input_shape, *nncore.infer_shapes(model.layers, model.input_shape)][layer]
+    w, b = model.params[f"{layer}.weight"], model.params[f"{layer}.bias"]
+    b[:] = np.random.default_rng(6).standard_normal(b.shape)
+    rng = np.random.default_rng(7)
+    for n in BATCH_SIZES:
+        x = rng.standard_normal((n, *in_shape)).astype(np.float32)
+        y, _ = nncore._conv2d_forward(spec, x, w, b)
+        _assert_same_bits(y, _single_gemm_conv(spec, x, w, b))
+
+
+def test_in_parallel_joins_the_helper_when_a_part_raises():
+    finished = threading.Event()
+
+    def slow_helper_part():
+        time.sleep(0.05)
+        finished.set()
+
+    def failing_own_part():
+        raise KeyError("own part")
+
+    with pytest.raises(KeyError, match="own part"):
+        nncore._in_parallel(slow_helper_part, failing_own_part, nncore._MIN_HELPER_MACS)
+    assert finished.is_set()
+    with pytest.raises(ZeroDivisionError):
+        nncore._in_parallel(lambda: 1 / 0, lambda: None, nncore._MIN_HELPER_MACS)
+
+
+FORK_CHILD = """\
+import os, numpy as np
+from compresslab import nncore
+from compresslab.nncore import build_model, forward
+nncore._MIN_HELPER_MACS = 0
+model, x = build_model("mnist-cnn", seed=1), np.zeros((4, 28, 28, 1), np.float32)
+before = forward(model, x)  # starts the helper thread in this process
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(forward(model, x), before) else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not MULTI_CPU or not hasattr(os, "fork"),
+                    reason="needs fork and two usable CPUs for the helper thread")
+def test_forked_child_gets_its_own_helper():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", FORK_CHILD], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "0"
 
 
 def test_uniform_probabilities_from_zero_weights():
