@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import metrics, nncore, quantization, sizing, sweep
-from .nncore import Model, TrainConfig
+from .nncore import Model
 from .pruning import prune_and_finetune
 
 logger = logging.getLogger(__name__)
@@ -23,19 +23,23 @@ _SIZE_ACC_COLUMNS = [c for c in metrics.CSV_COLUMNS if c != "quality"]
 _QUALITY_COLUMNS = ["sparsity", "precision_bits", "quality", "flag"]
 
 
+class UsageError(Exception):
+    """A config or flag value that no run could use; ``main`` exits 2."""
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, choices=sorted(sweep.DATASET_ARCHS))
     p.add_argument("--data-dir", required=True, help="directory holding the dataset files")
 
 
 def _add_train_args(p: argparse.ArgumentParser, learning_rate_field: str) -> None:
-    """Training flags defaulting to the reference protocol, SweepConfig's defaults."""
-    protocol = {f.name: f.default for f in dataclasses.fields(sweep.SweepConfig)}
-    p.add_argument("--epochs", type=int, default=protocol["epochs"])
-    p.add_argument("--batch-size", type=int, default=protocol["batch_size"])
-    p.add_argument("--learning-rate", type=float, default=protocol[learning_rate_field])
-    p.add_argument("--val-split", type=float, default=protocol["val_split"])
-    p.add_argument("--seed", type=int, default=protocol["seed"])
+    """Training flags that fill SweepConfig fields; an unset one keeps the reference default."""
+    unset = argparse.SUPPRESS
+    p.add_argument("--epochs", type=int, default=unset)
+    p.add_argument("--batch-size", type=int, default=unset)
+    p.add_argument("--learning-rate", type=float, dest=learning_rate_field, default=unset)
+    p.add_argument("--val-split", type=float, default=unset)
+    p.add_argument("--seed", type=int, default=unset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a baseline model and save the artifact")
     _add_dataset_args(p)
-    p.add_argument("--arch", default=None, help="architecture id (default: per dataset)")
     _add_train_args(p, "learning_rate")
     p.add_argument("--out", required=True, help="artifact path (.gz gets gzipped)")
     p.set_defaults(func=cmd_train)
@@ -58,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--target-sparsity", type=float, required=True)
     _add_dataset_args(p)
-    p.add_argument("--arch", default=None, help="architecture id (default: inferred)")
     _add_train_args(p, "finetune_learning_rate")
     p.set_defaults(func=cmd_prune)
 
@@ -74,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="print an artifact's accuracy in percent")
     p.add_argument("--in", dest="input", required=True)
     _add_dataset_args(p)
-    p.add_argument("--arch", default=None, help="architecture id (default: inferred)")
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.set_defaults(func=cmd_evaluate)
 
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full sparsity x precision grid from a config")
     p.add_argument("--config", required=True, help="flat key = value config file")
-    p.add_argument("--out-dir", default=None, help="overrides the config's out_dir")
+    p.add_argument("--out-dir", default=argparse.SUPPRESS, help="overrides the config's out_dir")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="render a results CSV as tables")
@@ -98,34 +99,39 @@ def _load_dataset(args):
     return sweep.DATASET_LOADERS[args.dataset](args.data_dir)
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       learning_rate=args.learning_rate, val_split=args.val_split,
-                       seed=args.seed)
+def _sweep_config(args) -> sweep.SweepConfig:
+    """The sweep config file, or SweepConfig's defaults, overridden by the flags set."""
+    fields = {f.name for f in dataclasses.fields(sweep.SweepConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields}
+    try:
+        if args.command == "sweep":
+            return dataclasses.replace(sweep.parse_config(args.config), **flags)
+        return sweep.SweepConfig(**flags)
+    except ValueError as e:
+        raise UsageError(e) from None
 
 
-def _model_from_artifact(path: str, arch: str | None) -> Model:
-    """Load an artifact and rebuild a Model, dequantizing if necessary."""
+def _model_from_artifact(path: str) -> Model:
+    """Load an artifact, dequantized, as the Model its tensor shapes identify."""
     params = quantization.dequantize_params(sizing.load_artifact(path))
-    if arch is None:
-        arch = nncore.infer_architecture(params)
-    return nncore.model_from_params(arch, params)
+    return nncore.model_from_params(nncore.infer_architecture(params), params)
 
 
 def cmd_train(args) -> int:
+    cfg = _sweep_config(args)
     train_data, _ = _load_dataset(args)
-    arch = args.arch or sweep.DATASET_ARCHS[args.dataset]
-    model = nncore.train(nncore.build_model(arch, args.seed), train_data,
-                         _train_config(args))
+    model = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data,
+                         cfg.train_config())
     sizing.save_artifact(args.out, model)
     logger.info("wrote %s", args.out)
     return 0
 
 
 def cmd_prune(args) -> int:
-    model = _model_from_artifact(args.input, args.arch)
+    cfg = _sweep_config(args)
+    model = _model_from_artifact(args.input)
     train_data, _ = _load_dataset(args)
-    pruned, mask = prune_and_finetune(model, train_data, _train_config(args),
+    pruned, mask = prune_and_finetune(model, train_data, cfg.finetune_config(),
                                       args.target_sparsity)
     sizing.save_artifact(args.out, pruned)
     logger.info("wrote %s (sparsity %.4f)", args.out, mask.achieved_sparsity())
@@ -141,7 +147,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _model_from_artifact(args.input, args.arch)
+    model = _model_from_artifact(args.input)
     train_data, test_data = _load_dataset(args)
     data = test_data if args.split == "test" else train_data
     print(f"{nncore.evaluate_accuracy(model, data):.6f}")
@@ -155,13 +161,7 @@ def cmd_size(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = sweep.parse_config(args.config)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.out_dir:
-        cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+    cfg = _sweep_config(args)
     records, failures = sweep.run_sweep(cfg)
     print(os.path.join(cfg.out_dir, sweep.RESULTS_CSV))
     if failures:
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
                         level=logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

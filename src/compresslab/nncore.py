@@ -312,7 +312,6 @@ class Model:
     layers: list[LayerSpec]
     input_shape: tuple[int, int, int]
     params: dict[str, np.ndarray]
-    seed: int = 0
     epochs_trained: int = 0
 
     def param_names(self) -> list[str]:
@@ -476,11 +475,10 @@ def build_model(arch: str, seed: int = 0) -> Model:
         fan_in, fan_out = receptive * shape[-2], receptive * shape[-1]
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
-    return Model(arch=arch, layers=list(layers), input_shape=input_shape,
-                 params=params, seed=int(seed))
+    return Model(arch=arch, layers=list(layers), input_shape=input_shape, params=params)
 
 
-def model_from_params(arch: str, params: dict[str, np.ndarray], seed: int = 0,
+def model_from_params(arch: str, params: dict[str, np.ndarray],
                       epochs_trained: int = 0) -> Model:
     """Rebuild a Model around an existing parameter map, validating shapes."""
     if arch not in ARCHITECTURES:
@@ -500,7 +498,7 @@ def model_from_params(arch: str, params: dict[str, np.ndarray], seed: int = 0,
     if extra:
         raise ShapeMismatchError(f"architecture {arch}: unexpected parameters {sorted(extra)}")
     return Model(arch=arch, layers=list(layers), input_shape=input_shape,
-                 params=ordered, seed=seed, epochs_trained=epochs_trained)
+                 params=ordered, epochs_trained=epochs_trained)
 
 
 def infer_architecture(params: dict) -> str:
@@ -509,8 +507,7 @@ def infer_architecture(params: dict) -> str:
     for arch, (input_shape, layers) in ARCHITECTURES.items():
         if parameter_shapes(layers, input_shape) == shapes:
             return arch
-    raise ValueError("parameter map does not match any registered architecture; "
-                     "pass the architecture explicitly")
+    raise ValueError("parameter map does not match any registered architecture")
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +521,23 @@ class TrainConfig:
     val_split: float = 0.0
     seed: int = 0
 
-    def validate(self, num_examples: int) -> None:
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.batch_size <= num_examples:
-            raise ValueError(
-                f"batch_size must be in (0, {num_examples}], got {self.batch_size}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.val_split < 1:
             raise ValueError(f"val_split must be in [0, 1), got {self.val_split}")
-        if round(self.val_split * num_examples) >= num_examples:  # split_train_val's count
-            raise ValueError(f"val_split {self.val_split} holds out all {num_examples} examples")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+
+    def validate(self, num_examples: int) -> None:
+        """The checks that need the example count; the rest ran when it was built."""
+        if self.batch_size > num_examples:
+            raise ValueError(
+                f"batch_size must be in (0, {num_examples}], got {self.batch_size}")
+        if round(self.val_split * num_examples) >= num_examples:  # split_train_val's count
+            raise ValueError(f"val_split {self.val_split} holds out all {num_examples} examples")
 
 
 def split_train_val(data: DatasetSplit, fraction: float, seed: int):

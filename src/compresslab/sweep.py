@@ -30,7 +30,6 @@ FAILURES_LOG = "failures.log"
 class SweepConfig:
     dataset: str
     data_dir: str
-    arch: str = ""
     epochs: int = 12
     batch_size: int = 128
     learning_rate: float = 0.1
@@ -46,10 +45,6 @@ class SweepConfig:
         if self.dataset not in DATASET_ARCHS:
             raise ValueError(f"dataset must be one of {sorted(DATASET_ARCHS)}, "
                              f"got {self.dataset!r}")
-        if not self.arch:
-            self.arch = DATASET_ARCHS[self.dataset]
-        if self.arch not in nncore.ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.arch!r}")
         if self.int8_mode not in quantization.INT8_MODES:
             raise ValueError(f"int8_mode must be {' or '.join(quantization.INT8_MODES)}, "
                              f"got {self.int8_mode!r}")
@@ -66,6 +61,17 @@ class SweepConfig:
             raise ValueError("precision_grid must contain 32 (the baseline cell)")
         self.sparsity_grid = sparsities
         self.precision_grid = bits
+        self.train_config()  # TrainConfig checks the protocol when it is built
+        try:
+            self.finetune_config()
+        except ValueError:  # train_config passed, so only the fine-tune rate is at fault
+            raise ValueError("finetune_learning_rate must be positive, "
+                             f"got {self.finetune_learning_rate}") from None
+
+    @property
+    def arch(self) -> str:
+        """The dataset decides the architecture: its images fit no other."""
+        return DATASET_ARCHS[self.dataset]
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -77,7 +83,7 @@ class SweepConfig:
 
 
 _CONFIG_PARSERS = {
-    "dataset": str, "data_dir": str, "arch": str, "int8_mode": str, "out_dir": str,
+    "dataset": str, "data_dir": str, "int8_mode": str, "out_dir": str,
     "epochs": int, "batch_size": int, "seed": int,
     "learning_rate": float, "finetune_learning_rate": float, "val_split": float,
     "sparsity_grid": lambda v: tuple(float(x) for x in v.split(",") if x.strip()),

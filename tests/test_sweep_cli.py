@@ -179,6 +179,10 @@ def test_parse_config_errors(tmp_path, data_dir):
     noeq.write_text("dataset mnist\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config(str(noeq))
+    arch = tmp_path / "bad6.cfg"
+    arch.write_text(f"dataset = mnist\ndata_dir = {data_dir}\narch = mnist-cnn\n")
+    with pytest.raises(ValueError, match="bad6.cfg:3: unknown key 'arch'"):
+        parse_config(str(arch))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +228,10 @@ def test_cli_training_defaults_are_the_reference_protocol():
     parser = cli.build_parser()
     data = ["--dataset", "mnist", "--data-dir", "data"]
     args = parser.parse_args(["train", *data, "--out", "base.mcmp.gz"])
-    assert cli._train_config(args) == cfg.train_config()
+    assert cli._sweep_config(args).train_config() == cfg.train_config()
     args = parser.parse_args(["prune", "--in", "base.mcmp.gz", "--out", "pruned.mcmp.gz",
                               "--target-sparsity", "0.5", *data])
-    assert cli._train_config(args) == cfg.finetune_config()
+    assert cli._sweep_config(args).finetune_config() == cfg.finetune_config()
 
 
 def test_cli_sweep_and_report(data_dir, tmp_path, capsys):
@@ -279,6 +283,37 @@ def test_cli_exit_codes(data_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("epochs = 0", "epochs must be >= 1, got 0"),
+    ("learning_rate = -1", "learning_rate must be positive, got -1.0"),
+    ("val_split = 1.5", "val_split must be in [0, 1), got 1.5"),
+    ("finetune_learning_rate = -1", "finetune_learning_rate must be positive, got -1.0"),
+])
+def test_cli_sweep_bad_protocol_is_a_usage_error(data_dir, tmp_path, capsys, line, message):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(f"dataset = mnist\ndata_dir = {data_dir}\nout_dir = {out_dir}\n"
+                        f"{line}\n")
+    assert cli.main(["--quiet", "sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["prune", "--in", "base.mcmp.gz", "--target-sparsity", "0.5", "--learning-rate", "-1"],
+     "finetune_learning_rate must be positive, got -1.0"),
+])
+def test_cli_bad_protocol_flag_exits_before_reading_data(tmp_path, capsys, argv, message):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = str(tmp_path / "m.mcmp.gz")
+    assert cli.main(["--quiet", *argv, "--dataset", "mnist", "--data-dir", str(empty),
+                     "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_cli_quantize_rejects_requantization(data_dir, tmp_path, capsys):
