@@ -113,8 +113,7 @@ def _sweep_config(args) -> sweep.SweepConfig:
 
 def _model_from_artifact(path: str) -> Model:
     """Load an artifact, dequantized, as the Model its tensor shapes identify."""
-    params = quantization.dequantize_params(sizing.load_artifact(path))
-    return nncore.model_from_params(nncore.infer_architecture(params), params)
+    return nncore.model_from_params(quantization.dequantize_params(sizing.load_artifact(path)))
 
 
 def cmd_train(args) -> int:
@@ -129,6 +128,8 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg = _sweep_config(args)
+    if not 0 <= args.target_sparsity < 1:
+        raise UsageError(f"target_sparsity must lie in [0, 1), got {args.target_sparsity}")
     model = _model_from_artifact(args.input)
     train_data, _ = _load_dataset(args)
     pruned, mask = prune_and_finetune(model, train_data, cfg.finetune_config(),

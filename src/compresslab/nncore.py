@@ -1,11 +1,12 @@
 """Minimal deterministic neural-network engine on numpy.
 
 Provides the tensors-as-ndarrays model container, forward/backward passes for
-a small set of layer kinds (conv2d, maxpool2x2, flatten, dense, relu, softmax),
-plain-SGD training, and accuracy evaluation.  Everything is bit-deterministic
-on one machine at a fixed BLAS thread count: given (seed, config, data) two
-runs produce bit-identical parameters.  Other thread counts may sum GEMMs in
-another order and so give other bits.
+a small set of layer kinds (conv2d, maxpool2x2, flatten, dense, relu),
+plain-SGD training, and accuracy evaluation.  The last layer gives the logits;
+``forward`` applies the softmax and the loss fuses it with the cross-entropy.
+Everything is bit-deterministic on one machine at a fixed BLAS thread count:
+given (seed, config, data) two runs produce bit-identical parameters.  Other
+thread counts may sum GEMMs in another order and so give other bits.
 
 A conv layer runs as flat 2-D GEMMs over its (N*OH*OW, k*k*C) patch matrix:
 one for the output, one for the weight gradient and one per kernel tap for
@@ -236,12 +237,12 @@ class _LayerKind:
     cache, need_dx, *params)`` gives (dx, param grads); params is (weight,
     bias) for a kind with ``params``, else empty, and so are its grads.  A
     kind may skip dx and give None when ``need_dx`` is false.  The softmax
-    has no kernels: the engine fuses it with the loss, so it must be the last
-    layer.  Errors omit the layer's position.
+    is no layer kind: the last layer gives the logits, ``forward`` applies
+    the softmax and the loss fuses it.  Errors omit the layer's position.
     """
 
-    forward: Callable | None
-    backward: Callable | None
+    forward: Callable
+    backward: Callable
     shape: Callable = lambda spec, shape: shape  # (spec, input shape) -> output shape
     rank: int = 0  # the input's number of dims, if fixed
     params: Callable | None = None  # (spec, input shape) -> (weight shape, bias shape)
@@ -271,7 +272,6 @@ _KINDS: dict[str, _LayerKind] = {
     "relu": _LayerKind(
         forward=lambda spec, x: (np.maximum(x, 0), x > 0),
         backward=lambda spec, dy, positive, need_dx: (dy * positive, ())),
-    "softmax": _LayerKind(forward=None, backward=None, rank=1),
 }
 
 
@@ -302,17 +302,15 @@ class LayerSpec:
 
 @dataclass
 class Model:
-    """Ordered layers plus named parameter tensors and training metadata.
+    """Ordered layers plus their named parameter tensors.
 
     Parameter names are ``{layer_index}.weight`` / ``{layer_index}.bias``;
     iteration order is ascending layer index with weight before bias.
     """
 
-    arch: str
     layers: list[LayerSpec]
     input_shape: tuple[int, int, int]
     params: dict[str, np.ndarray]
-    epochs_trained: int = 0
 
     def param_names(self) -> list[str]:
         return [name for i, spec in enumerate(self.layers) for name in _param_names(i, spec)]
@@ -320,17 +318,12 @@ class Model:
     def copy(self) -> "Model":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def infer_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
     """Per-layer output shapes (batch dimension excluded); hard error on mismatch.
 
-    The last layer, and only the last, must be a softmax.
+    The last layer gives the logits, so its output must be flat.
     """
-    if not layers or layers[-1].kind != "softmax":
-        raise ShapeMismatchError("model must end with a softmax layer")
     shape = tuple(input_shape)
     out = []
     for i, spec in enumerate(layers):
@@ -339,12 +332,12 @@ def infer_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
             if kind.rank and len(shape) != kind.rank:
                 need = "flat" if kind.rank == 1 else "HxWxC"
                 raise ShapeMismatchError(f"needs {need} input, got {shape}")
-            if kind.forward is None and i < len(layers) - 1:
-                raise ShapeMismatchError(f"{spec.kind} must be the final layer")
             shape = kind.shape(spec, shape)
         except ShapeMismatchError as e:
             raise ShapeMismatchError(f"layer {i} ({spec.kind}): {e}") from None
         out.append(shape)
+    if len(shape) != 1:
+        raise ShapeMismatchError(f"the last layer must give flat logits, got {shape}")
     return out
 
 
@@ -360,7 +353,7 @@ def parameter_shapes(layers: list[LayerSpec], input_shape: tuple) -> dict[str, t
 
 
 def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """Run every layer but the final softmax and return the logits.
+    """Run every layer and return the logits.
 
     The architecture and the parameter shapes are checked once, up front, so
     the kernels themselves check nothing.  Each layer's backward cache is
@@ -376,7 +369,7 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
         raise ShapeMismatchError(
             f"model input: batch shape {x.shape} does not match "
             f"(N, {', '.join(map(str, model.input_shape))})")
-    for i, spec in enumerate(model.layers[:-1]):
+    for i, spec in enumerate(model.layers):
         x, cache = _KINDS[spec.kind].forward(
             spec, x, *[model.params[name] for name in _param_names(i, spec)])
         if caches is not None:
@@ -421,7 +414,7 @@ def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
     dy[np.arange(n), labels] -= 1.0
     dy /= n
     grads = {}
-    for i in range(len(model.layers) - 2, -1, -1):
+    for i in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[i]
         names = _param_names(i, spec)
         # nothing uses the gradient at the model input, so layer 0 needs no dx
@@ -442,7 +435,6 @@ ARCHITECTURES: dict[str, tuple[tuple[int, int, int], list[LayerSpec]]] = {
         LayerSpec("maxpool2x2"),
         LayerSpec("flatten"),
         LayerSpec("dense", units=10),
-        LayerSpec("softmax"),
     ]),
     # scaled-down CIFAR-10 convnet, ~292K parameters
     "cifar-smallnet": ((32, 32, 3), [
@@ -454,7 +446,6 @@ ARCHITECTURES: dict[str, tuple[tuple[int, int, int], list[LayerSpec]]] = {
         LayerSpec("maxpool2x2"),
         LayerSpec("flatten"),
         LayerSpec("dense", units=10),
-        LayerSpec("softmax"),
     ]),
 }
 
@@ -475,30 +466,16 @@ def build_model(arch: str, seed: int = 0) -> Model:
         fan_in, fan_out = receptive * shape[-2], receptive * shape[-1]
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
-    return Model(arch=arch, layers=list(layers), input_shape=input_shape, params=params)
+    return Model(layers=list(layers), input_shape=input_shape, params=params)
 
 
-def model_from_params(arch: str, params: dict[str, np.ndarray],
-                      epochs_trained: int = 0) -> Model:
-    """Rebuild a Model around an existing parameter map, validating shapes."""
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}")
-    input_shape, layers = ARCHITECTURES[arch]
-    expected = parameter_shapes(layers, input_shape)
-    ordered = {}
-    for name, shape in expected.items():
-        if name not in params:
-            raise ShapeMismatchError(f"architecture {arch}: missing parameter {name}")
-        arr = np.ascontiguousarray(params[name], dtype=np.float32)
-        if arr.shape != shape:
-            raise ShapeMismatchError(
-                f"architecture {arch}: parameter {name} has shape {arr.shape}, expected {shape}")
-        ordered[name] = arr
-    extra = set(params) - set(expected)
-    if extra:
-        raise ShapeMismatchError(f"architecture {arch}: unexpected parameters {sorted(extra)}")
-    return Model(arch=arch, layers=list(layers), input_shape=input_shape,
-                 params=ordered, epochs_trained=epochs_trained)
+def model_from_params(params: dict[str, np.ndarray]) -> Model:
+    """The architecture ``infer_architecture`` finds for ``params``, holding
+    them as contiguous float32 arrays in canonical order."""
+    input_shape, layers = ARCHITECTURES[infer_architecture(params)]
+    ordered = {name: np.ascontiguousarray(params[name], dtype=np.float32)
+               for name in parameter_shapes(layers, input_shape)}
+    return Model(layers=list(layers), input_shape=input_shape, params=ordered)
 
 
 def infer_architecture(params: dict) -> str:
@@ -507,7 +484,7 @@ def infer_architecture(params: dict) -> str:
     for arch, (input_shape, layers) in ARCHITECTURES.items():
         if parameter_shapes(layers, input_shape) == shapes:
             return arch
-    raise ValueError("parameter map does not match any registered architecture")
+    raise ShapeMismatchError("parameter map does not match any registered architecture")
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +572,19 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
         val = f", val acc {evaluate_accuracy(model, val_split):.2f}%" if len(val_split) else ""
         logger.info("epoch %d/%d: %sloss %.4f%s",
                     epoch + 1, cfg.epochs, sparsity, float(np.mean(losses)), val)
-    model.epochs_trained += cfg.epochs
     return model, mask
 
 
-def train(model: Model, data: DatasetSplit, cfg: TrainConfig, mask=None) -> Model:
+def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
     """SGD-train a copy of ``model``; bit-deterministic given (seed, data, cfg)
     on one machine at a fixed BLAS thread count.
 
     ``cfg.val_split`` of the data is held out (never trained on) and its
-    accuracy is logged once per epoch.  A ``mask`` keeps its pruned weights
-    at exactly 0.0 throughout.  Shares its epoch loop with
-    ``pruning.prune_and_finetune``; baseline training shuffles on stream 0.
+    accuracy is logged once per epoch.  Shares its epoch loop with
+    ``pruning.prune_and_finetune``, the one masked path; baseline training
+    shuffles on stream 0.
     """
-    if mask is not None:
-        mask.validate_against(model.params)
-    return _run_epochs(model, data, cfg, 0, lambda model, epoch: mask)[0]
+    return _run_epochs(model, data, cfg, 0, lambda model, epoch: None)[0]
 
 
 def evaluate_accuracy(model: Model, data: DatasetSplit) -> float:

@@ -29,14 +29,6 @@ class PruneMask:
         for name, keep in self.masks.items():
             params[name][~keep] = 0.0
 
-    def validate_against(self, params: dict[str, np.ndarray]) -> None:
-        for name, keep in self.masks.items():
-            if name not in params:
-                raise ValueError(f"mask names parameter {name} absent from model")
-            if keep.shape != params[name].shape:
-                raise ValueError(
-                    f"mask for {name} has shape {keep.shape}, parameter is {params[name].shape}")
-
     def achieved_sparsity(self) -> float:
         total = sum(m.size for m in self.masks.values())
         zeros = sum(int((~m).sum()) for m in self.masks.values())

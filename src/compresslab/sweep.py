@@ -51,6 +51,9 @@ class SweepConfig:
         sparsities = tuple(sorted(set(float(s) for s in self.sparsity_grid)))
         if not sparsities or any(not 0 <= s < 1 for s in sparsities):
             raise ValueError(f"sparsity_grid values must lie in [0, 1): {self.sparsity_grid}")
+        for s in sparsities:  # results.csv and artifact names write at most 4 decimals
+            if float(_fmt_sparsity(s)) != s:
+                raise ValueError(f"sparsity_grid value {s} has more than four decimals")
         if 0.0 not in sparsities:
             raise ValueError("sparsity_grid must contain 0 (the baseline cell)")
         bits = tuple(sorted(set(int(b) for b in self.precision_grid), reverse=True))

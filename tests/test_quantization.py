@@ -232,8 +232,6 @@ def test_quantize_model_eval_weights_are_dequantized(tiny_trained):
         else:
             np.testing.assert_array_equal(eval_model.params[name],
                                           tiny_trained.params[name])
-    assert eval_model.arch == tiny_trained.arch
-    assert eval_model.epochs_trained == tiny_trained.epochs_trained
 
 
 def test_quantize_model_float16_accuracy_is_close(tiny_trained, synth_test):

@@ -11,8 +11,8 @@ import pytest
 
 from compresslab import cli, pruning, sweep
 from compresslab.metrics import records_from_csv
-from compresslab.nncore import TrainConfig
-from compresslab.sizing import load_artifact
+from compresslab.nncore import TrainConfig, build_model
+from compresslab.sizing import load_artifact, save_artifact
 from compresslab.sweep import SweepConfig, parse_config, run_sweep
 from conftest import synthetic_dataset, write_idx_files
 
@@ -183,6 +183,12 @@ def test_parse_config_errors(tmp_path, data_dir):
     arch.write_text(f"dataset = mnist\ndata_dir = {data_dir}\narch = mnist-cnn\n")
     with pytest.raises(ValueError, match="bad6.cfg:3: unknown key 'arch'"):
         parse_config(str(arch))
+    # results.csv and artifact names write at most four decimals
+    for s in ("0.00001", "0.99999", "0.12345"):
+        decimals = tmp_path / "bad7.cfg"
+        decimals.write_text(f"dataset = mnist\ndata_dir = {data_dir}\nsparsity_grid = 0, {s}\n")
+        with pytest.raises(ValueError, match=f"sparsity_grid value {float(s)} has more than four"):
+            parse_config(str(decimals))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +320,17 @@ def test_cli_bad_protocol_flag_exits_before_reading_data(tmp_path, capsys, argv,
                      "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out)
+
+
+def test_cli_prune_bad_target_sparsity_exits_before_reading_data(tmp_path, capsys):
+    base = str(tmp_path / "base.mcmp.gz")
+    save_artifact(base, build_model("mnist-cnn"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert cli.main(["--quiet", "prune", "--in", base, "--target-sparsity", "1.5",
+                     "--dataset", "mnist", "--data-dir", str(empty),
+                     "--out", str(tmp_path / "p.mcmp.gz")]) == 2
+    assert capsys.readouterr().err == "error: target_sparsity must lie in [0, 1), got 1.5\n"
 
 
 def test_cli_quantize_rejects_requantization(data_dir, tmp_path, capsys):
