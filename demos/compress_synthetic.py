@@ -25,7 +25,7 @@ def make_dataset(n, seed):
 
 
 def report(stage, model):
-    size = gzipped_size(serialize_model(model))
+    size = gzipped_size(serialize_model(model.params))
     acc = evaluate_accuracy(model, test_data)
     print(f"{stage:<22} {size:>8} gzipped bytes   {acc:6.2f}% accuracy")
     return size

@@ -13,7 +13,7 @@ from .nncore import (ARCHITECTURES, LayerSpec, Model, ShapeMismatchError,
                      evaluate_accuracy, forward, infer_architecture,
                      loss_and_grad, model_from_params, split_train_val, train)
 from .pruning import (PruneMask, SparsitySchedule, build_mask, magnitude_threshold,
-                      measure_sparsity, prune_and_finetune, schedule_sparsity)
+                      prune_and_finetune, schedule_sparsity)
 from .quantization import (QuantParams, QuantizedTensor, compute_quant_params,
                            convert_float16, dequantize_params, dequantize_tensor,
                            quantize_model, quantize_params, quantize_tensor)
@@ -33,7 +33,7 @@ __all__ = [
     "convert_float16", "dequantize_params", "dequantize_tensor", "evaluate_accuracy", "forward",
     "gzip_compress", "gzipped_size", "infer_architecture", "load_artifact",
     "load_cifar10", "load_mnist", "loss_and_grad", "magnitude_threshold",
-    "measure_sparsity", "model_from_params", "parse_config", "parse_model_bytes",
+    "model_from_params", "parse_config", "parse_model_bytes",
     "prune_and_finetune", "quality_metric", "quantize_model", "quantize_params",
     "quantize_tensor", "records_from_csv", "records_to_csv", "reduction_factor",
     "run_sweep", "save_artifact", "schedule_sparsity", "serialize_model",

@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
     train_data, _ = _load_dataset(args)
     model = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data,
                          cfg.train_config())
-    sizing.save_artifact(args.out, model)
+    sizing.save_artifact(args.out, model.params)
     logger.info("wrote %s", args.out)
     return 0
 
@@ -134,7 +134,7 @@ def cmd_prune(args) -> int:
     train_data, _ = _load_dataset(args)
     pruned, mask = prune_and_finetune(model, train_data, cfg.finetune_config(),
                                       args.target_sparsity)
-    sizing.save_artifact(args.out, pruned)
+    sizing.save_artifact(args.out, pruned.params)
     logger.info("wrote %s (sparsity %.4f)", args.out, mask.achieved_sparsity())
     return 0
 
@@ -163,13 +163,9 @@ def cmd_size(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    records, failures = sweep.run_sweep(cfg)
+    _, failures = sweep.run_sweep(cfg)  # run_sweep logs each failed cell
     print(os.path.join(cfg.out_dir, sweep.RESULTS_CSV))
-    if failures:
-        for s, bits, err in failures:
-            print(f"failed cell s={s} p={bits}: {err}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures else 0
 
 
 def _render_table(rows: list[dict[str, str]], columns: list[str], title: str,
@@ -198,6 +194,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)
     try:
+        out_dir = os.path.dirname(getattr(args, "out", ""))
+        if out_dir and not os.path.isdir(out_dir):  # found before any work is done
+            raise UsageError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except (FileNotFoundError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

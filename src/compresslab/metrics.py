@@ -18,9 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .quantization import INT8_MODES
-
-VALID_BITS = (8, 16, 32)
+from .quantization import INT8_MODES, VALID_BITS
 
 
 @dataclass

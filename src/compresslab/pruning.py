@@ -99,24 +99,6 @@ def build_mask(model: Model, sparsity: float) -> PruneMask:
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 
-def measure_sparsity(model_or_params, names=None) -> float:
-    """Fraction of exact zeros across the named tensors (default: all weights)."""
-    if isinstance(model_or_params, Model):
-        params = model_or_params.params
-        if names is None:
-            names = prunable_parameter_names(model_or_params)
-    else:
-        params = model_or_params
-        if names is None:
-            names = list(params.keys())
-    names = list(names)
-    if not names:
-        raise ValueError("sparsity scope is empty")
-    total = sum(params[n].size for n in names)
-    zeros = sum(int((params[n] == 0).sum()) for n in names)
-    return zeros / total
-
-
 def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
                        target_sparsity: float) -> tuple[Model, PruneMask]:
     """Gradually prune to ``target_sparsity`` while fine-tuning.

@@ -32,7 +32,8 @@ _CODECS = {
     "symmetric": _Codec(8, np.dtype("i1"), (-127, 127), (0, 0), 2, 1, 0),  # no -128
 }
 
-# the modes of 8-bit quantization; the first is the default
+# the storage widths and the modes of 8-bit quantization (the first is the default)
+VALID_BITS = tuple(sorted({codec.bits for codec in _CODECS.values()}))
 INT8_MODES = tuple(mode for mode, codec in _CODECS.items() if codec.bits == 8)
 
 
@@ -63,6 +64,7 @@ class QuantParams:
 
 _FLOAT32 = QuantParams(bits=32, mode="float32")
 _FLOAT16 = QuantParams(bits=16, mode="float16")
+_FLOATS = {32: _FLOAT32, 16: _FLOAT16}
 
 
 @dataclass
@@ -152,15 +154,15 @@ def convert_float16(weights: np.ndarray, name: str = "tensor") -> QuantizedTenso
 
 def quantize_params(params: dict[str, np.ndarray], bits: int,
                     mode: str = INT8_MODES[0]) -> dict:
-    """Quantize every ``*.weight`` tensor per-tensor; other tensors pass through.
+    """Store every ``*.weight`` tensor per-tensor at ``bits``; other tensors pass through.
 
-    ``bits`` 16 stores weights as float16 and ignores ``mode``.  Returns a
-    name-keyed map of QuantizedTensor (weights) and float32 ndarrays
-    (biases), in the input's iteration order.  A map that already holds a
-    QuantizedTensor is an error.
+    ``bits`` 32 stores weights as float32 and 16 as float16, both ignoring
+    ``mode``; 8 quantizes them in ``mode``.  Returns a name-keyed map of
+    QuantizedTensor (weights) and float32 ndarrays (biases), in the input's
+    iteration order.  A map that already holds a QuantizedTensor is an error.
     """
-    if bits not in (8, 16):
-        raise ValueError(f"bits must be 8 or 16, got {bits}")
+    if bits not in VALID_BITS:
+        raise ValueError(f"bits must be one of {VALID_BITS}, got {bits}")
     out = {}
     for name, arr in params.items():
         if isinstance(arr, QuantizedTensor):
@@ -169,7 +171,7 @@ def quantize_params(params: dict[str, np.ndarray], bits: int,
             out[name] = np.asarray(arr, dtype=np.float32)
             continue
         w = _check_weights(arr)
-        out[name] = _quantize(w, _fit_params(w, mode) if bits == 8 else _FLOAT16, name)
+        out[name] = _quantize(w, _fit_params(w, mode) if bits == 8 else _FLOATS[bits], name)
     return out
 
 

@@ -31,7 +31,6 @@ import zlib
 import numpy as np
 
 from .datasets import _read_file
-from .nncore import Model
 from .quantization import _CODECS, _FLOAT16, _FLOAT32, QuantParams, QuantizedTensor
 
 MAGIC = b"MCMP"
@@ -42,15 +41,14 @@ class ArtifactFormatError(ValueError):
     """An artifact byte stream failed structural validation."""
 
 
-def serialize_model(payload) -> bytes:
-    """Serialize a Model or a {name: ndarray | QuantizedTensor} map to bytes.
+def serialize_model(tensors: dict) -> bytes:
+    """Serialize a {name: ndarray | QuantizedTensor} map to bytes, in its
+    iteration order (a Model's ``params`` are in parameter order).
 
     Deterministic: equal tensors in equal order produce identical bytes.
     """
-    entries = ([(name, payload.params[name]) for name in payload.param_names()]
-               if isinstance(payload, Model) else list(payload.items()))
-    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(entries))]
-    for name, value in entries:
+    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(tensors))]
+    for name, value in tensors.items():
         name_bytes = name.encode("utf-8")
         if not 0 < len(name_bytes) <= 0xFFFF:
             raise ValueError(f"tensor name {name!r} must encode to 1..65535 bytes")
@@ -172,9 +170,10 @@ def reduction_factor(baseline_size: int, model_size: int) -> float:
     return baseline_size / model_size
 
 
-def save_artifact(path: str, payload) -> int:
-    """Serialize to ``path`` (gzipped when it ends in .gz); returns bytes written."""
-    data = serialize_model(payload)
+def save_artifact(path: str, tensors: dict) -> int:
+    """Serialize a tensor map to ``path`` (gzipped when it ends in .gz);
+    returns bytes written."""
+    data = serialize_model(tensors)
     if str(path).endswith(".gz"):
         data = gzip_compress(data)
     with open(path, "wb") as f:

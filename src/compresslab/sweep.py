@@ -57,8 +57,8 @@ class SweepConfig:
         if 0.0 not in sparsities:
             raise ValueError("sparsity_grid must contain 0 (the baseline cell)")
         bits = tuple(sorted(set(int(b) for b in self.precision_grid), reverse=True))
-        if not bits or any(b not in metrics.VALID_BITS for b in bits):
-            raise ValueError(f"precision_grid values must be in {metrics.VALID_BITS}: "
+        if not bits or any(b not in quantization.VALID_BITS for b in bits):
+            raise ValueError(f"precision_grid values must be in {quantization.VALID_BITS}: "
                              f"{self.precision_grid}")
         if 32 not in bits:
             raise ValueError("precision_grid must contain 32 (the baseline cell)")
@@ -132,8 +132,8 @@ def run_sweep(cfg: SweepConfig):
     (sparsity, bits, error string).  Identical configs produce byte-identical
     CSVs; a failed cell is logged and skipped, never silently patched over.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     logger.info("training %s baseline on %s (%d examples)",
                 cfg.arch, cfg.dataset, len(train_data))
@@ -144,8 +144,9 @@ def run_sweep(cfg: SweepConfig):
     failures: list[tuple[float, int, str]] = []
 
     def fail(s: float, bits: int, e: Exception) -> None:
-        logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, e)
-        failures.append((s, bits, f"{type(e).__name__}: {e}"))
+        err = f"{type(e).__name__}: {e}"
+        logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, err)
+        failures.append((s, bits, err))
 
     # one row per sparsity; config validation puts the baseline cell (0, 32) first
     for s in cfg.sparsity_grid:
@@ -161,9 +162,7 @@ def run_sweep(cfg: SweepConfig):
                 continue
         for bits in cfg.precision_grid:
             try:
-                payload = eval_model = model
-                if bits < 32:
-                    payload, eval_model = quantization.quantize_model(model, bits, cfg.int8_mode)
+                payload, eval_model = quantization.quantize_model(model, bits, cfg.int8_mode)
                 path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
                 size = sizing.save_artifact(path, payload)
                 acc = nncore.evaluate_accuracy(eval_model, test_data)

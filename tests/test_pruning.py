@@ -11,8 +11,7 @@ import pytest
 from compresslab.nncore import (TrainConfig, TrainingDivergedError, build_model,
                                 evaluate_accuracy)
 from compresslab.pruning import (PruneMask, SparsitySchedule, build_mask,
-                                 magnitude_threshold, measure_sparsity,
-                                 prunable_parameter_names, prune_and_finetune,
+                                 magnitude_threshold, prunable_parameter_names, prune_and_finetune,
                                  schedule_sparsity)
 
 
@@ -163,19 +162,6 @@ def test_apply_zeroes_only_masked(tiny_trained):
         assert (model.params[name][~keep] == 0.0).all()
 
 
-def test_measure_sparsity_values(tiny_trained):
-    assert measure_sparsity({"w": np.zeros((4, 4))}) == pytest.approx(1.0)
-    assert measure_sparsity({"w": np.ones((4, 4))}) == pytest.approx(0.0)
-    mixed = {"a": np.array([0.0, 1.0]), "b": np.array([0.0, 0.0])}
-    assert measure_sparsity(mixed) == pytest.approx(0.75)
-    assert measure_sparsity(mixed, names=["a"]) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="empty"):
-        measure_sparsity(mixed, names=[])
-    # model overload defaults to weight tensors
-    dense_frac = measure_sparsity(tiny_trained)
-    assert 0.0 <= dense_frac < 0.01
-
-
 def test_achieved_sparsity_matches_counts():
     masks = {"a": np.array([True, False, False, True]),
              "b": np.array([True, True])}
@@ -184,6 +170,12 @@ def test_achieved_sparsity_matches_counts():
 
 # ---------------------------------------------------------------------------
 # prune + fine-tune
+
+def weight_sparsity(model):
+    """Fraction of exact zeros across the model's weight tensors."""
+    weights = [model.params[n] for n in prunable_parameter_names(model)]
+    return sum(int((w == 0).sum()) for w in weights) / sum(w.size for w in weights)
+
 
 def expected_model_sparsity(model, s):
     sizes = [model.params[n].size for n in prunable_parameter_names(model)]
@@ -195,8 +187,8 @@ def test_prune_and_finetune_reaches_target(tiny_trained, synth_train, synth_test
     pruned, mask = prune_and_finetune(tiny_trained, synth_train, cfg, 0.9)
     target = expected_model_sparsity(tiny_trained, 0.9)
     assert mask.achieved_sparsity() == pytest.approx(target, abs=1e-9)
-    assert measure_sparsity(pruned) >= target
-    assert abs(measure_sparsity(pruned) - 0.9) < 0.01
+    assert weight_sparsity(pruned) >= target
+    assert abs(weight_sparsity(pruned) - 0.9) < 0.01
     for name, keep in mask.masks.items():
         assert (pruned.params[name][~keep] == 0.0).all()
         # the kept weights were fine-tuned, not just copied
@@ -227,7 +219,7 @@ def test_prune_zero_target_is_plain_finetune(tiny_trained, synth_train):
     cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.02, seed=2)
     pruned, mask = prune_and_finetune(tiny_trained, synth_train, cfg, 0.0)
     assert mask.achieved_sparsity() == 0.0
-    assert measure_sparsity(pruned) < 0.01
+    assert weight_sparsity(pruned) < 0.01
 
 
 def test_prune_input_untouched_and_validation(tiny_trained, synth_train):

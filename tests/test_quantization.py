@@ -220,6 +220,26 @@ def test_quantize_params_splits_weights_and_biases(tiny_trained):
         quantize_params(tiny_trained.params, 12)
 
 
+def test_quantize_params_stores_32_bits_as_float32(tiny_trained):
+    qmap = quantize_params(tiny_trained.params, 32, "symmetric")
+    assert list(qmap) == tiny_trained.param_names()
+    for name, v in qmap.items():
+        if name.endswith(".weight"):
+            assert isinstance(v, QuantizedTensor)
+            assert v.params == QuantParams(bits=32, mode="float32")
+            assert v.payload.dtype == np.float32
+            np.testing.assert_array_equal(v.payload, tiny_trained.params[name])
+        else:
+            assert isinstance(v, np.ndarray) and v.dtype == np.float32
+    # a float32 QuantizedTensor serializes as the plain float32 array does
+    assert serialize_model(qmap) == serialize_model(tiny_trained.params)
+    _, eval_model = quantize_model(tiny_trained, 32)
+    assert list(eval_model.params) == list(tiny_trained.params)
+    for name, w in tiny_trained.params.items():
+        got = eval_model.params[name]
+        assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+
+
 def test_quantize_model_eval_weights_are_dequantized(tiny_trained):
     qmap, eval_model = quantize_model(tiny_trained, 8, "symmetric")
     for name in tiny_trained.param_names():
@@ -254,7 +274,7 @@ def test_sparse_weights_stay_zero_after_int8(tiny_trained):
 def test_quantize_params_rejects_an_already_quantized_map():
     params = {"0.weight": np.array([[0.5, -1.0]], dtype=np.float32),
               "0.bias": np.zeros(2, dtype=np.float32)}
-    for bits in (8, 16):
+    for bits in (8, 16, 32):
         qmap = quantize_params(params, bits)
         with pytest.raises(ValueError, match="tensor 0.weight is already quantized"):
             quantize_params(qmap, 8)

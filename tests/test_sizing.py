@@ -107,7 +107,7 @@ def test_every_codec_round_trips(mode):
 
 
 def test_model_serializes_in_param_order(tiny_trained):
-    data = serialize_model(tiny_trained)
+    data = serialize_model(tiny_trained.params)
     parsed = parse_model_bytes(data)
     assert list(parsed) == tiny_trained.param_names()
     for name in parsed:
@@ -115,7 +115,7 @@ def test_model_serializes_in_param_order(tiny_trained):
 
 
 def test_serialize_is_deterministic(tiny_trained):
-    assert serialize_model(tiny_trained) == serialize_model(tiny_trained)
+    assert serialize_model(tiny_trained.params) == serialize_model(tiny_trained.params)
     qmap = quantize_params(tiny_trained.params, 8)
     assert serialize_model(qmap) == serialize_model(qmap)
 
@@ -205,7 +205,7 @@ def test_parse_rejects_unknown_dtype():
 # gzip sizing
 
 def test_gzip_stream_is_reproducible_and_standard():
-    data = serialize_model(build_model("mnist-cnn", seed=0))
+    data = serialize_model(build_model("mnist-cnn", seed=0).params)
     z1, z2 = gzip_compress(data), gzip_compress(data)
     assert z1 == z2
     assert gzipped_size(data) == len(z1)
@@ -223,8 +223,8 @@ def fresh_gzip(data: bytes) -> bytes:
 
 
 def test_gzip_memo_interleaved_inputs_match_fresh_streams():
-    a = serialize_model(build_model("mnist-cnn", seed=0))
-    b = serialize_model(build_model("mnist-cnn", seed=1))
+    a = serialize_model(build_model("mnist-cnn", seed=0).params)
+    b = serialize_model(build_model("mnist-cnn", seed=1).params)
     for data in (a, b, a, bytes(a), b):
         assert gzip_compress(data) == fresh_gzip(data)
         assert gzipped_size(data) == len(fresh_gzip(data))
@@ -241,7 +241,7 @@ def test_gzip_memo_sees_a_buffer_changed_in_place():
 
 
 def test_gzip_of_buffers_equals_gzip_of_bytes():
-    data = serialize_model(build_model("mnist-cnn", seed=2))
+    data = serialize_model(build_model("mnist-cnn", seed=2).params)
     for view in (memoryview(data), bytearray(data), memoryview(bytearray(data))):
         assert gzip_compress(view) == gzip_compress(data) == fresh_gzip(data)
         assert gzipped_size(view) == gzipped_size(data)
@@ -251,24 +251,24 @@ def test_gzip_of_buffers_equals_gzip_of_bytes():
 
 def test_sizing_then_saving_compresses_once(tmp_path, tiny_trained):
     from compresslab.sizing import _gzip
-    size = gzipped_size(serialize_model(tiny_trained))
+    size = gzipped_size(serialize_model(tiny_trained.params))
     before = _gzip.cache_info()
-    assert save_artifact(str(tmp_path / "m.mcmp.gz"), tiny_trained) == size
+    assert save_artifact(str(tmp_path / "m.mcmp.gz"), tiny_trained.params) == size
     after = _gzip.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_sparse_models_compress_smaller(tiny_trained):
     from compresslab.pruning import build_mask
-    dense_size = gzipped_size(serialize_model(tiny_trained))
+    dense_size = gzipped_size(serialize_model(tiny_trained.params))
     sparse = tiny_trained.copy()
     build_mask(sparse, 0.9).apply(sparse.params)
-    sparse_size = gzipped_size(serialize_model(sparse))
+    sparse_size = gzipped_size(serialize_model(sparse.params))
     assert sparse_size < dense_size * 0.6
 
 
 def test_quantized_models_compress_smaller(tiny_trained):
-    base = gzipped_size(serialize_model(tiny_trained))
+    base = gzipped_size(serialize_model(tiny_trained.params))
     q16 = gzipped_size(serialize_model(quantize_params(tiny_trained.params, 16)))
     q8 = gzipped_size(serialize_model(quantize_params(tiny_trained.params, 8)))
     assert q8 < q16 < base
@@ -289,8 +289,8 @@ def test_reduction_factor():
 def test_save_and_load_artifact(tmp_path, tiny_trained):
     raw_path = str(tmp_path / "model.mcmp")
     gz_path = str(tmp_path / "model.mcmp.gz")
-    save_artifact(raw_path, tiny_trained)
-    save_artifact(gz_path, tiny_trained)
+    save_artifact(raw_path, tiny_trained.params)
+    save_artifact(gz_path, tiny_trained.params)
     for path in (raw_path, gz_path):
         parsed = load_artifact(path)
         for name in tiny_trained.param_names():

@@ -4,6 +4,8 @@ report rendering, and exit codes.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -324,13 +326,74 @@ def test_cli_bad_protocol_flag_exits_before_reading_data(tmp_path, capsys, argv,
 
 def test_cli_prune_bad_target_sparsity_exits_before_reading_data(tmp_path, capsys):
     base = str(tmp_path / "base.mcmp.gz")
-    save_artifact(base, build_model("mnist-cnn"))
+    save_artifact(base, build_model("mnist-cnn").params)
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.main(["--quiet", "prune", "--in", base, "--target-sparsity", "1.5",
                      "--dataset", "mnist", "--data-dir", str(empty),
                      "--out", str(tmp_path / "p.mcmp.gz")]) == 2
     assert capsys.readouterr().err == "error: target_sparsity must lie in [0, 1), got 1.5\n"
+
+
+def test_cli_sweep_missing_data_exits_2_and_makes_no_out_dir(tmp_path, capsys):
+    empty, out_dir = tmp_path / "empty", tmp_path / "out"
+    empty.mkdir()
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(f"dataset = mnist\ndata_dir = {empty}\nout_dir = {out_dir}\n")
+    assert cli.main(["--quiet", "sweep", "--config", str(cfg_path)]) == 2
+    assert "missing dataset file train-images-idx3-ubyte" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["prune", "--in", "{base}", "--target-sparsity", "0.5"],
+    ["quantize", "--in", "{base}", "--bits", "8"],
+])
+def test_cli_missing_out_directory_exits_before_any_work(tmp_path, capsys, argv):
+    base = str(tmp_path / "base.mcmp.gz")
+    save_artifact(base, build_model("mnist-cnn").params)
+    empty, missing = tmp_path / "empty", tmp_path / "nodir"
+    empty.mkdir()
+    data = [] if argv[0] == "quantize" else ["--dataset", "mnist", "--data-dir", str(empty)]
+    argv = [arg.format(base=base) for arg in argv]
+    assert cli.main(["--quiet", *argv, *data, "--out", str(missing / "m.mcmp.gz")]) == 2
+    assert capsys.readouterr().err == f"error: output directory {missing} does not exist\n"
+    assert not missing.exists()
+
+
+FAILING_SWEEP = """\
+import sys
+from compresslab import cli, pruning
+
+def broken(model, data, cfg, target):
+    raise RuntimeError("injected fine-tune crash")
+
+pruning.prune_and_finetune = broken
+sys.exit(cli.main(["--quiet", "sweep", "--config", sys.argv[1]]))
+"""
+
+
+def test_cli_sweep_reports_each_failed_cell_once(data_dir, tmp_path):
+    out_dir, cfg_path = tmp_path / "out", tmp_path / "cfg"
+    cfg_path.write_text(
+        f"dataset = mnist\ndata_dir = {data_dir}\nout_dir = {out_dir}\nepochs = 1\n"
+        "batch_size = 64\nval_split = 0.2\nseed = 9\n"
+        "sparsity_grid = 0, 0.5\nprecision_grid = 32, 16, 8\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.abspath(src),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FAILING_SWEEP, str(cfg_path)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    logged = (out_dir / "failures.log").read_text().splitlines()
+    assert len(logged) == 3
+    for line in logged:  # "s=0.5 p=<bits>: RuntimeError: injected fine-tune crash"
+        cell, err = line.split(": ", 1)
+        assert err == "RuntimeError: injected fine-tune crash"
+        assert proc.stderr.count(cell) == 1
+        assert f"cell {cell} failed: {err}\n" in proc.stderr
 
 
 def test_cli_quantize_rejects_requantization(data_dir, tmp_path, capsys):
