@@ -7,9 +7,10 @@ minute on a laptop CPU.
 
 import numpy as np
 
-from compresslab import (TrainConfig, build_model, evaluate_accuracy,
-                         gzipped_size, prune_and_finetune, quantize_model,
-                         serialize_model, train)
+from compresslab import (TrainConfig, build_model, dequantize_params,
+                         evaluate_accuracy, gzipped_size, model_from_params,
+                         prune_and_finetune, quantize_params, serialize_model,
+                         train)
 from compresslab.datasets import DatasetSplit
 
 
@@ -42,8 +43,8 @@ ft = TrainConfig(epochs=3, batch_size=64, learning_rate=0.02, val_split=0.2, see
 pruned, mask = prune_and_finetune(model, train_data, ft, target_sparsity=0.9)
 report(f"pruned ({mask.achieved_sparsity():.0%})", pruned)
 
-qmap, eval_model = quantize_model(pruned, bits=8, mode="asymmetric")
+qmap = quantize_params(pruned.params, bits=8, mode="asymmetric")
 q_size = gzipped_size(serialize_model(qmap))
-acc = evaluate_accuracy(eval_model, test_data)
+acc = evaluate_accuracy(model_from_params(dequantize_params(qmap)), test_data)
 print(f"{'pruned + int8':<22} {q_size:>8} gzipped bytes   {acc:6.2f}% accuracy")
 print(f"\nreduction factor: {base_size / q_size:.1f}x")

@@ -16,7 +16,7 @@ from .pruning import (PruneMask, SparsitySchedule, build_mask, magnitude_thresho
                       prune_and_finetune, schedule_sparsity)
 from .quantization import (QuantParams, QuantizedTensor, compute_quant_params,
                            convert_float16, dequantize_params, dequantize_tensor,
-                           quantize_model, quantize_params, quantize_tensor)
+                           quantize_params, quantize_tensor)
 from .sizing import (ArtifactFormatError, gzip_compress, gzipped_size, load_artifact,
                      parse_model_bytes, reduction_factor, save_artifact,
                      serialize_model)
@@ -34,7 +34,7 @@ __all__ = [
     "gzip_compress", "gzipped_size", "infer_architecture", "load_artifact",
     "load_cifar10", "load_mnist", "loss_and_grad", "magnitude_threshold",
     "model_from_params", "parse_config", "parse_model_bytes",
-    "prune_and_finetune", "quality_metric", "quantize_model", "quantize_params",
+    "prune_and_finetune", "quality_metric", "quantize_params",
     "quantize_tensor", "records_from_csv", "records_to_csv", "reduction_factor",
     "run_sweep", "save_artifact", "schedule_sparsity", "serialize_model",
     "split_train_val", "train",

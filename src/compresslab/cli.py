@@ -73,10 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="int8 grid placement (ignored for 16-bit)")
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("evaluate", help="print an artifact's accuracy in percent")
+    p = sub.add_parser("evaluate", help="print an artifact's test-split accuracy in percent")
     p.add_argument("--in", dest="input", required=True)
     _add_dataset_args(p)
-    p.add_argument("--split", default="test", choices=("train", "test"))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("size", help="print an artifact's gzipped byte count")
@@ -149,9 +148,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = _model_from_artifact(args.input)
-    train_data, test_data = _load_dataset(args)
-    data = test_data if args.split == "test" else train_data
-    print(f"{nncore.evaluate_accuracy(model, data):.6f}")
+    _, test_data = _load_dataset(args)
+    print(f"{nncore.evaluate_accuracy(model, test_data):.6f}")
     return 0
 
 

@@ -385,7 +385,8 @@ def _softmax(z):
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch; rows are non-negative and sum to 1."""
+    """Class probabilities for a batch; rows are non-negative and sum to 1.
+    A row's last bits can change with the batch's row count (dense GEMMs)."""
     return _softmax(_logits(model, batch))
 
 
@@ -588,12 +589,18 @@ def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
 
 
 def evaluate_accuracy(model: Model, data: DatasetSplit) -> float:
-    """Percent of argmax-correct predictions; argmax ties go to the lowest class."""
+    """Percent of argmax-correct predictions; argmax ties go to the lowest class.
+    Each ``forward`` call gets ``_EVAL_BATCH`` rows, the last batch padded with
+    zero rows whose outputs are dropped, so no example's bits depend on ``n``."""
     n = len(data)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     for start in range(0, n, _EVAL_BATCH):
-        probs = forward(model, data.images[start:start + _EVAL_BATCH])
+        images = data.images[start:start + _EVAL_BATCH]
+        pad = _EVAL_BATCH - len(images)
+        if pad:
+            images = np.pad(images, [(0, pad)] + [(0, 0)] * (images.ndim - 1))
+        probs = forward(model, images)[:_EVAL_BATCH - pad]
         correct += int((probs.argmax(axis=1) == data.labels[start:start + _EVAL_BATCH]).sum())
     return 100.0 * correct / n

@@ -87,15 +87,11 @@ def magnitude_threshold(weights: np.ndarray, sparsity: float) -> np.ndarray:
     return mask.reshape(weights.shape)
 
 
-def prunable_parameter_names(model: Model) -> list[str]:
-    """Weight tensors only; biases stay dense."""
-    return [n for n in model.param_names() if n.endswith(".weight")]
-
-
-def build_mask(model: Model, sparsity: float) -> PruneMask:
-    """Per-tensor magnitude masks at the given sparsity over all weight tensors."""
-    masks = {name: magnitude_threshold(model.params[name], sparsity)
-             for name in prunable_parameter_names(model)}
+def build_mask(params: dict[str, np.ndarray], sparsity: float) -> PruneMask:
+    """Per-tensor magnitude masks at the given sparsity over the map's
+    ``*.weight`` tensors, in its order; biases stay dense."""
+    masks = {name: magnitude_threshold(w, sparsity)
+             for name, w in params.items() if name.endswith(".weight")}
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 
@@ -119,6 +115,6 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
 
     def epoch_mask(model: Model, epoch: int) -> PruneMask:
         s = target_sparsity if schedule is None else schedule_sparsity(schedule, epoch)
-        return build_mask(model, s)
+        return build_mask(model.params, s)
 
     return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask)

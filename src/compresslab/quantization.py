@@ -6,12 +6,10 @@ defined once, in ``_CODECS``, which the artifact codec in ``sizing`` reads too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .nncore import Model
 
 
 class _Codec(NamedTuple):
@@ -179,14 +177,3 @@ def dequantize_params(tensors: dict) -> dict:
     """Float32 copies of a tensor map, with every QuantizedTensor dequantized."""
     return {name: dequantize_tensor(v) if isinstance(v, QuantizedTensor)
             else np.array(v, dtype=np.float32) for name, v in tensors.items()}
-
-
-def quantize_model(model: Model, bits: int, mode: str = INT8_MODES[0]):
-    """Per-tensor weight quantization of a whole model.
-
-    Returns (quantized parameter map, evaluation model) where the evaluation
-    model holds the dequantized float32 weights, so its accuracy is exactly
-    what the quantized artifact delivers.
-    """
-    qmap = quantize_params(model.params, bits, mode)
-    return qmap, replace(model, params=dequantize_params(qmap))

@@ -126,11 +126,13 @@ def artifact_name(arch: str, dataset: str, sparsity: float, bits: int) -> str:
 
 def run_sweep(cfg: SweepConfig):
     """Train the baseline, walk the grid, save artifacts and the results CSV
-    in ``cfg.out_dir``.
+    in ``cfg.out_dir``.  A cell is scored on the model rebuilt from its stored
+    tensors, as ``compresslab evaluate`` rebuilds it from the artifact.
 
     Returns (records, failures) where failures is a list of
     (sparsity, bits, error string).  Identical configs produce byte-identical
-    CSVs; a failed cell is logged and skipped, never silently patched over.
+    CSVs; a failed cell is logged and skipped, never silently patched over,
+    except the baseline cell (0, 32), whose error is raised.
     """
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -162,10 +164,11 @@ def run_sweep(cfg: SweepConfig):
                 continue
         for bits in cfg.precision_grid:
             try:
-                payload, eval_model = quantization.quantize_model(model, bits, cfg.int8_mode)
+                payload = quantization.quantize_params(model.params, bits, cfg.int8_mode)
                 path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
                 size = sizing.save_artifact(path, payload)
-                acc = nncore.evaluate_accuracy(eval_model, test_data)
+                stored = nncore.model_from_params(quantization.dequantize_params(payload))
+                acc = nncore.evaluate_accuracy(stored, test_data)
                 scores = {}  # the baseline is its own reference point
                 if s == 0.0 and bits == 32:
                     base_size, base_acc = size, acc

@@ -96,6 +96,12 @@ def test_record_validation():
         CompressionRecord(0.5, 16, None, 0, 90.0)
     with pytest.raises(ValueError, match="precision_bits"):
         CompressionRecord(0.5, 4, None, 100, 90.0)
+    for sparsity in (-0.1, 1.0):
+        with pytest.raises(ValueError, match=r"sparsity must lie in \[0, 1\)"):
+            CompressionRecord(sparsity, 16, None, 100, 90.0)
+    for accuracy in (-1.0, 100.5):
+        with pytest.raises(ValueError, match=r"accuracy_pct must lie in \[0, 100\]"):
+            CompressionRecord(0.5, 16, None, 100, accuracy)
     assert CompressionRecord(0.0, 32, None, 100, 90.0).is_baseline
     assert not CompressionRecord(0.5, 32, None, 100, 90.0).is_baseline
 
@@ -155,6 +161,9 @@ def test_csv_roundtrip_preserves_values():
             assert a.quality == pytest.approx(b.quality, abs=1e-6)
     # fixed formatting means identical bytes on re-serialization
     assert records_to_csv(parsed) == text
+    # a blank row is skipped
+    lines = text.splitlines()
+    assert records_from_csv("\n".join([*lines[:2], "", *lines[2:]]) + "\n") == parsed
 
 
 def test_csv_errors_carry_line_numbers():

@@ -560,6 +560,16 @@ def test_odd_spatial_maxpool_rejected():
               LayerSpec("dense", units=2)]
     with pytest.raises(ShapeMismatchError, match="must be even"):
         nncore.infer_shapes(layers, (4, 4, 1))  # conv leaves 3x3
+    head = [LayerSpec("flatten"), LayerSpec("dense", units=2)]
+    for layers, input_shape, message in [
+            ([LayerSpec("conv2d", filters=1, kernel_size=5, padding=1), *head], (2, 2, 1),
+             r"layer 0 \(conv2d\): kernel 5 too large for \(2, 2, 1\)"),
+            ([LayerSpec("dense", units=2)], (2, 2, 1),
+             r"layer 0 \(dense\): needs flat input, got \(2, 2, 1\)"),
+            ([*head, LayerSpec("conv2d", filters=1, kernel_size=1), *head], (2, 2, 1),
+             r"layer 2 \(conv2d\): needs HxWxC input, got \(2,\)")]:
+        with pytest.raises(ShapeMismatchError, match=message):
+            nncore.infer_shapes(layers, input_shape)
 
 
 def test_last_layer_must_give_flat_logits():
@@ -571,6 +581,12 @@ def test_last_layer_must_give_flat_logits():
                                    (2, 2, 1)) == {"1.weight": (4, 3), "1.bias": (3,)}
     with pytest.raises(ValueError, match="unknown layer kind 'softmax'"):
         LayerSpec("softmax")
+    for bad in [dict(kind="conv2d", filters=0, kernel_size=3),
+                dict(kind="conv2d", filters=2, kernel_size=0),
+                dict(kind="conv2d", filters=2, kernel_size=3, padding=-1),
+                dict(kind="dense", units=0)]:
+        with pytest.raises(ValueError, match=f"invalid {bad['kind']} hyperparameters"):
+            LayerSpec(**bad)
 
 
 def test_hand_built_model_must_fit_its_input_shape():
@@ -591,6 +607,25 @@ def test_evaluate_accuracy_in_batches_matches_one_forward(tiny_trained, synth_te
     probs = forward(tiny_trained, synth_test.images)
     correct = int((probs.argmax(axis=1) == synth_test.labels).sum())
     assert evaluate_accuracy(tiny_trained, synth_test) == 100.0 * correct / n
+
+
+@pytest.mark.parametrize("arch, dataset", [("mnist-cnn", synthetic_dataset),
+                                           ("cifar-smallnet", synthetic_cifar_dataset)],
+                         ids=["mnist-cnn", "cifar-smallnet"])
+def test_evaluate_accuracy_pads_the_last_batch(arch, dataset, monkeypatch):
+    model, data = build_model(arch, seed=3), dataset(2 * nncore._EVAL_BATCH + 1, seed=8)
+    calls = []
+
+    def recording_forward(model, batch):
+        calls.append(forward(model, batch))
+        return calls[-1]
+
+    monkeypatch.setattr(nncore, "forward", recording_forward)
+    evaluate_accuracy(model, data)
+    assert [len(probs) for probs in calls] == [nncore._EVAL_BATCH] * 3
+    # the tail example gets the bits it gets as the last row of a full batch
+    full = forward(model, data.images[-nncore._EVAL_BATCH:])
+    _assert_same_bits(calls[-1][0], full[-1])
 
 
 def test_evaluate_accuracy_counts_argmax():

@@ -11,8 +11,7 @@ import pytest
 from compresslab.nncore import (TrainConfig, TrainingDivergedError, build_model,
                                 evaluate_accuracy)
 from compresslab.pruning import (PruneMask, SparsitySchedule, build_mask,
-                                 magnitude_threshold, prunable_parameter_names, prune_and_finetune,
-                                 schedule_sparsity)
+                                 magnitude_threshold, prune_and_finetune, schedule_sparsity)
 
 
 def oracle_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
@@ -147,14 +146,20 @@ def test_schedule_validation():
 # masks over models
 
 def test_build_mask_covers_weights_only(tiny_trained):
-    mask = build_mask(tiny_trained, 0.5)
-    assert set(mask.masks) == set(prunable_parameter_names(tiny_trained))
-    assert all(not n.endswith(".bias") for n in mask.masks)
+    mask = build_mask(tiny_trained.params, 0.5)
+    assert list(mask.masks) == [n for n in tiny_trained.param_names() if n.endswith(".weight")]
+    # any tensor map, in its own order
+    tensors = {"fc7.bias": np.ones(2, np.float32), "fc7.weight": np.arange(4.0).reshape(2, 2),
+               "fc6.weight": np.array([3.0, -1.0])}
+    mask = build_mask(tensors, 0.5)
+    assert list(mask.masks) == ["fc7.weight", "fc6.weight"]
+    np.testing.assert_array_equal(mask.masks["fc7.weight"], [[False, False], [True, True]])
+    np.testing.assert_array_equal(mask.masks["fc6.weight"], [True, False])
 
 
 def test_apply_zeroes_only_masked(tiny_trained):
     model = tiny_trained.copy()
-    mask = build_mask(model, 0.6)
+    mask = build_mask(model.params, 0.6)
     before_bias = model.params["0.bias"].copy()
     mask.apply(model.params)
     np.testing.assert_array_equal(model.params["0.bias"], before_bias)
@@ -173,12 +178,12 @@ def test_achieved_sparsity_matches_counts():
 
 def weight_sparsity(model):
     """Fraction of exact zeros across the model's weight tensors."""
-    weights = [model.params[n] for n in prunable_parameter_names(model)]
+    weights = [w for n, w in model.params.items() if n.endswith(".weight")]
     return sum(int((w == 0).sum()) for w in weights) / sum(w.size for w in weights)
 
 
 def expected_model_sparsity(model, s):
-    sizes = [model.params[n].size for n in prunable_parameter_names(model)]
+    sizes = [w.size for n, w in model.params.items() if n.endswith(".weight")]
     return sum(math.floor(s * m) for m in sizes) / sum(sizes)
 
 

@@ -7,15 +7,20 @@ import pytest
 
 from compresslab.quantization import (QuantParams, QuantizedTensor,
                                       compute_quant_params, convert_float16,
-                                      dequantize_tensor, quantize_model,
+                                      dequantize_params, dequantize_tensor,
                                       quantize_params, quantize_tensor)
-from compresslab.nncore import build_model
+from compresslab.nncore import build_model, model_from_params
 from compresslab.sizing import parse_model_bytes, serialize_model
 
 
 def roundtrip(w, mode):
     params = compute_quant_params(w, 8, mode)
     return dequantize_tensor(quantize_tensor(w, params)), params
+
+
+def stored_model(params, bits, mode="asymmetric"):
+    """The model a sweep cell is scored on: rebuilt from its stored tensors."""
+    return model_from_params(dequantize_params(quantize_params(params, bits, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +102,8 @@ def test_param_validation():
         QuantParams(bits=8, mode="symmetric", scale=0.0)
     with pytest.raises(ValueError, match="float16 mode"):
         QuantParams(bits=8, mode="float16")
+    with pytest.raises(ValueError, match="unknown quantization mode 'affine'"):
+        QuantParams(bits=8, mode="affine")
 
 
 def test_zero_point_must_be_an_integer():
@@ -233,15 +240,16 @@ def test_quantize_params_stores_32_bits_as_float32(tiny_trained):
             assert isinstance(v, np.ndarray) and v.dtype == np.float32
     # a float32 QuantizedTensor serializes as the plain float32 array does
     assert serialize_model(qmap) == serialize_model(tiny_trained.params)
-    _, eval_model = quantize_model(tiny_trained, 32)
+    eval_model = stored_model(tiny_trained.params, 32)
     assert list(eval_model.params) == list(tiny_trained.params)
     for name, w in tiny_trained.params.items():
         got = eval_model.params[name]
         assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
 
 
-def test_quantize_model_eval_weights_are_dequantized(tiny_trained):
-    qmap, eval_model = quantize_model(tiny_trained, 8, "symmetric")
+def test_stored_model_holds_the_dequantized_weights(tiny_trained):
+    qmap = quantize_params(tiny_trained.params, 8, "symmetric")
+    eval_model = stored_model(tiny_trained.params, 8, "symmetric")
     for name in tiny_trained.param_names():
         if name.endswith(".weight"):
             np.testing.assert_array_equal(eval_model.params[name],
@@ -254,9 +262,9 @@ def test_quantize_model_eval_weights_are_dequantized(tiny_trained):
                                           tiny_trained.params[name])
 
 
-def test_quantize_model_float16_accuracy_is_close(tiny_trained, synth_test):
+def test_stored_float16_model_accuracy_is_close(tiny_trained, synth_test):
     from compresslab.nncore import evaluate_accuracy
-    _, eval16 = quantize_model(tiny_trained, 16)
+    eval16 = stored_model(tiny_trained.params, 16)
     base = evaluate_accuracy(tiny_trained, synth_test)
     assert abs(evaluate_accuracy(eval16, synth_test) - base) <= 1.0
 
@@ -264,9 +272,9 @@ def test_quantize_model_float16_accuracy_is_close(tiny_trained, synth_test):
 def test_sparse_weights_stay_zero_after_int8(tiny_trained):
     from compresslab.pruning import build_mask
     model = tiny_trained.copy()
-    mask = build_mask(model, 0.9)
+    mask = build_mask(model.params, 0.9)
     mask.apply(model.params)
-    _, eval_model = quantize_model(model, 8, "asymmetric")
+    eval_model = stored_model(model.params, 8, "asymmetric")
     for name, keep in mask.masks.items():
         assert (eval_model.params[name][~keep] == 0.0).all()
 

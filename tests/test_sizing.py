@@ -262,7 +262,7 @@ def test_sparse_models_compress_smaller(tiny_trained):
     from compresslab.pruning import build_mask
     dense_size = gzipped_size(serialize_model(tiny_trained.params))
     sparse = tiny_trained.copy()
-    build_mask(sparse, 0.9).apply(sparse.params)
+    build_mask(sparse.params, 0.9).apply(sparse.params)
     sparse_size = gzipped_size(serialize_model(sparse.params))
     assert sparse_size < dense_size * 0.6
 

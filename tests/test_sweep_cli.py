@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compresslab import cli, pruning, sweep
+from compresslab import cli, pruning, quantization, sweep
 from compresslab.metrics import records_from_csv
 from compresslab.nncore import TrainConfig, build_model
 from compresslab.sizing import load_artifact, save_artifact
@@ -120,11 +120,51 @@ def test_sweep_failed_cell_logged_not_patched(data_dir, tmp_path, monkeypatch):
         assert "injected" in f.read()
 
 
+def test_sweep_failed_cell_keeps_the_rest_of_its_row(data_dir, tmp_path, monkeypatch):
+    real, calls = quantization.quantize_params, []
+
+    def quantize_or_fail(params, bits, mode):
+        calls.append(bits)
+        if len(calls) == 3:  # cells run in grid order, so the third is (0.9, 32)
+            raise RuntimeError("injected quantize crash")
+        return real(params, bits, mode)
+
+    monkeypatch.setattr(quantization, "quantize_params", quantize_or_fail)
+    out = tmp_path / "one-failing"
+    _, failures = run_sweep(small_config(data_dir, str(out)))
+    assert failures == [(0.9, 32, "RuntimeError: injected quantize crash")]
+    assert (out / "failures.log").read_text() == \
+        "s=0.9 p=32: RuntimeError: injected quantize crash\n"
+    written = records_from_csv((out / "results.csv").read_text())
+    assert [(r.sparsity, r.precision_bits) for r in written] == [(0.0, 32), (0.0, 8), (0.9, 8)]
+
+
+def test_failed_baseline_cell_ends_the_sweep(data_dir, tmp_path, monkeypatch, capsys):
+    def broken(params, bits, mode):
+        raise RuntimeError("injected quantize crash")
+
+    monkeypatch.setattr(quantization, "quantize_params", broken)
+    out_dir, cfg_path = tmp_path / "out", tmp_path / "cfg"
+    cfg_path.write_text(
+        f"dataset = mnist\ndata_dir = {data_dir}\nout_dir = {out_dir}\nepochs = 1\n"
+        "batch_size = 64\nval_split = 0.2\nseed = 9\n"
+        "sparsity_grid = 0, 0.5\nprecision_grid = 32, 8\n")
+    with pytest.raises(RuntimeError, match="injected quantize crash"):
+        run_sweep(parse_config(str(cfg_path)))
+    assert cli.main(["--quiet", "sweep", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: injected quantize crash\n"
+    assert os.listdir(out_dir) == []  # no results.csv, no failures.log
+
+
 def test_sweep_config_validation(data_dir):
     with pytest.raises(ValueError, match="must contain 0"):
         small_config(data_dir, "x", sparsity_grid=(0.5,))
     with pytest.raises(ValueError, match="must contain 32"):
         small_config(data_dir, "x", precision_grid=(8, 16))
+    with pytest.raises(ValueError, match=r"sparsity_grid values must lie in \[0, 1\)"):
+        small_config(data_dir, "x", sparsity_grid=(0, 1.5))
+    with pytest.raises(ValueError, match=r"precision_grid values must be in \(8, 16, 32\)"):
+        small_config(data_dir, "x", precision_grid=(32, 4))
     with pytest.raises(ValueError, match="dataset"):
         small_config(data_dir, "x", dataset="imagenet")
     with pytest.raises(ValueError, match="int8_mode"):
@@ -215,7 +255,7 @@ def test_cli_chain_matches_sweep_cell(data_dir, tmp_path, sweep_result, capsys):
     capsys.readouterr()
 
     assert cli.main(["--quiet", "evaluate", "--in", quant, "--dataset", "mnist",
-                     "--data-dir", data_dir, "--split", "test"]) == 0
+                     "--data-dir", data_dir]) == 0
     acc = float(capsys.readouterr().out.strip())
     assert cli.main(["--quiet", "size", "--in", quant]) == 0
     size = int(capsys.readouterr().out.strip())
