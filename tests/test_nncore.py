@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_conv_of_ones_counts_window():
     x = np.ones((1, 3, 3, 1))
     w = np.ones((2, 2, 1, 1))
     b = np.zeros(1)
-    y, _ = nncore._conv2d_forward(LayerSpec("conv2d", filters=1, kernel_size=2), x, w, b)
+    y, _ = nncore._conv2d_forward(LayerSpec("conv2d", filters=1, kernel_size=2), x, False, w, b)
     assert y.shape == (1, 2, 2, 1)
     np.testing.assert_array_equal(y[0, :, :, 0], 4.0)
 
@@ -59,7 +60,7 @@ def test_conv_padding_shrinks_border_sums():
     x = np.ones((1, 2, 2, 1))
     w = np.ones((3, 3, 1, 1))
     spec = LayerSpec("conv2d", filters=1, kernel_size=3, padding=1)
-    y, _ = nncore._conv2d_forward(spec, x, w, np.zeros(1))
+    y, _ = nncore._conv2d_forward(spec, x, False, w, np.zeros(1))
     # every 3x3 window over the zero-padded 2x2 grid sees all four ones
     assert y.shape == (1, 2, 2, 1)
     np.testing.assert_array_equal(y[0, :, :, 0], 4.0)
@@ -69,7 +70,7 @@ def test_conv_bias_added_per_filter():
     x = np.zeros((1, 3, 3, 1))
     w = np.zeros((2, 2, 1, 2))
     spec = LayerSpec("conv2d", filters=2, kernel_size=2)
-    y, _ = nncore._conv2d_forward(spec, x, w, np.array([1.5, -2.0]))
+    y, _ = nncore._conv2d_forward(spec, x, False, w, np.array([1.5, -2.0]))
     np.testing.assert_array_equal(y[0, :, :, 0], 1.5)
     np.testing.assert_array_equal(y[0, :, :, 1], -2.0)
 
@@ -79,13 +80,13 @@ def test_maxpool_picks_window_max():
                   [3., 4., 7., 8.],
                   [9., 10., 13., 14.],
                   [11., 12., 15., 16.]]).reshape(1, 4, 4, 1)
-    y, _ = nncore._maxpool_forward(POOL, x)
+    y, _ = nncore._maxpool_forward(POOL, x, False)
     np.testing.assert_array_equal(y[0, :, :, 0], [[4., 8.], [12., 16.]])
 
 
 def test_maxpool_tie_routes_gradient_to_first():
     x = np.full((1, 2, 2, 1), 3.0)
-    y, cache = nncore._maxpool_forward(POOL, x)
+    y, cache = nncore._maxpool_forward(POOL, x, True)
     assert y[0, 0, 0, 0] == 3.0
     dx, _ = nncore._maxpool_backward(POOL, np.ones((1, 1, 1, 1)), cache, True)
     np.testing.assert_array_equal(dx.reshape(4), [1.0, 0.0, 0.0, 0.0])
@@ -122,17 +123,23 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(dtype):
     x[0, 2:4, 0:2, 0] = [[-1.0, -1.0], [-0.0, 0.0]]
     dy = rng.standard_normal((3, 4, 3, 5)).astype(dtype)
     dy[0, 0, 0, 1] = -0.0
-    y, cache = nncore._maxpool_forward(POOL, x)
+    y, cache = nncore._maxpool_forward(POOL, x, True)
     dx, _ = nncore._maxpool_backward(POOL, dy, cache, True)
     y_ref, dx_ref = _argmax_maxpool(x, dy)
     _assert_same_bits(y, y_ref)
     _assert_same_bits(dx, dx_ref)
     assert np.signbit(y[0, 0, 0, 0]) and not np.signbit(y[0, 0, 1, 0])
 
-    x[0, 4:6, 2:4, 3] = [[1.0, np.nan], [2.0, 3.0]]  # NaN: forward only
-    y, _ = nncore._maxpool_forward(POOL, x)
+    x[0, 4:6, 2:4, 3] = [[1.0, np.nan], [2.0, 3.0]]  # NaN: the reference's forward only
+    x[0, 6:8, 0:2, 1] = np.nan
+    y, cache = nncore._maxpool_forward(POOL, x, True)
     _assert_same_bits(y, _argmax_maxpool(x, dy)[0])
-    assert np.isnan(y[0, 2, 1, 3])
+    _assert_same_bits(y, nncore._maxpool_forward(POOL, x, False)[0])
+    assert np.isnan(y[0, 2, 1, 3]) and np.isnan(y[0, 3, 0, 1])
+    # no corner equals a NaN max, so such a window routes no gradient: +0.0
+    dx, _ = nncore._maxpool_backward(POOL, dy, cache, True)
+    for window in dx[0, 4:6, 2:4, 3], dx[0, 6:8, 0:2, 1]:
+        assert not window.view(np.dtype(f"u{dx.itemsize}")).any()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ def test_split_conv_forward_equals_one_gemm(arch, layer, split_every_conv):
     rng = np.random.default_rng(7)
     for n in BATCH_SIZES:
         x = rng.standard_normal((n, *in_shape)).astype(np.float32)
-        y, _ = nncore._conv2d_forward(spec, x, w, b)
+        y, _ = nncore._conv2d_forward(spec, x, False, w, b)
         _assert_same_bits(y, _single_gemm_conv(spec, x, w, b))
 
 
@@ -276,6 +283,68 @@ def test_forked_child_gets_its_own_helper():
     out = subprocess.run([sys.executable, "-c", FORK_CHILD], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# the conv blocks' layer order: pool before relu keeps the old order's bits
+
+# The conv -> relu -> maxpool order the architectures ran in before relu moved
+# after the pool: the reference the registered order is compared with.
+CONV_RELU_POOL = {
+    "mnist-cnn": [LayerSpec("conv2d", filters=12, kernel_size=3), LayerSpec("relu"),
+                  LayerSpec("maxpool2x2"), LayerSpec("flatten"), LayerSpec("dense", units=10)],
+    "cifar-smallnet": [LayerSpec("conv2d", filters=96, kernel_size=3, padding=1),
+                       LayerSpec("relu"), LayerSpec("maxpool2x2"),
+                       LayerSpec("conv2d", filters=192, kernel_size=3, padding=1),
+                       LayerSpec("relu"), LayerSpec("maxpool2x2"),
+                       LayerSpec("flatten"), LayerSpec("dense", units=10)],
+}
+
+
+def _grads_and_conv_output_grads(model, x, labels, monkeypatch):
+    """``loss_and_grad``'s result, and the gradient each conv layer was given."""
+    conv, seen = nncore._KINDS["conv2d"], []
+
+    def recording_backward(spec, dy, *rest):
+        seen.append(dy.copy())
+        return conv.backward(spec, dy, *rest)
+
+    with monkeypatch.context() as m:
+        m.setitem(nncore._KINDS, "conv2d", replace(conv, backward=recording_backward))
+        return loss_and_grad(model, x, labels), seen
+
+
+@pytest.mark.parametrize("arch, dataset", [("mnist-cnn", synthetic_dataset),
+                                           ("cifar-smallnet", synthetic_cifar_dataset)],
+                         ids=["mnist-cnn", "cifar-smallnet"])
+def test_pool_before_relu_gives_the_old_orders_bits(arch, dataset, monkeypatch):
+    assert CONV_RELU_POOL[arch] != nncore.ARCHITECTURES[arch][1]  # not the model's own order
+    for seed in range(4):
+        model = build_model(arch, seed=seed)
+        if seed % 2:  # biases of both signs; at 0 an all-zero input gives exact zeros
+            rng = np.random.default_rng(seed)
+            for name in model.params:
+                if name.endswith(".bias"):
+                    model.params[name][:] = 0.1 * rng.standard_normal(model.params[name].shape)
+        old = Model(layers=CONV_RELU_POOL[arch], input_shape=model.input_shape,
+                    params=model.params)
+        data = dataset(max(BATCH_SIZES), seed=10 + seed)
+        x = data.images - 0.5  # negative inputs
+        x[::5] = 0.0
+        for n in BATCH_SIZES[seed % 3::3]:  # every size once over the first 3 seeds
+            (loss, grads), conv_dys = _grads_and_conv_output_grads(
+                model, x[:n], data.labels[:n], monkeypatch)
+            (old_loss, old_grads), old_conv_dys = _grads_and_conv_output_grads(
+                old, x[:n], data.labels[:n], monkeypatch)
+            assert loss == old_loss
+            for name in model.param_names():
+                _assert_same_bits(grads[name], old_grads[name])
+            _assert_same_bits(forward(model, x[:n]), forward(old, x[:n]))
+            # by value: where a whole window is <= 0 the signed zero of the
+            # conv output's gradient sits at another corner in each order
+            assert len(conv_dys) == len(old_conv_dys)
+            for dy, old_dy in zip(conv_dys, old_conv_dys):
+                np.testing.assert_array_equal(dy, old_dy)
 
 
 def test_uniform_probabilities_from_zero_weights():
@@ -324,10 +393,8 @@ def _loss_and_pattern(model, x, labels):
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
     pattern = []
     for spec, cache in zip(model.layers[:-1], caches):
-        if spec.kind == "relu":
+        if spec.kind in ("relu", "maxpool2x2"):  # relu's mask, the pool's winner index
             pattern.append(cache.tobytes())
-        elif spec.kind == "maxpool2x2":
-            pattern.append(nncore._maxpool_winners(*cache).tobytes())
     return loss, b"".join(pattern)
 
 
@@ -593,7 +660,7 @@ def test_hand_built_model_must_fit_its_input_shape():
     model = build_model("mnist-cnn")
     x = np.zeros((1, 27, 27, 1), dtype=np.float32)
     odd = Model(layers=model.layers, input_shape=(27, 27, 1), params=model.params)
-    with pytest.raises(ShapeMismatchError, match=r"layer 2 \(maxpool2x2\)"):
+    with pytest.raises(ShapeMismatchError, match=r"layer 1 \(maxpool2x2\)"):
         forward(odd, x)  # conv leaves 25x25 for the pool
     x = np.zeros((1, 30, 30, 1), dtype=np.float32)
     wide = Model(layers=model.layers, input_shape=(30, 30, 1), params=model.params)

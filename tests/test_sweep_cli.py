@@ -131,12 +131,13 @@ def test_sweep_failed_cell_keeps_the_rest_of_its_row(data_dir, tmp_path, monkeyp
 
     monkeypatch.setattr(quantization, "quantize_params", quantize_or_fail)
     out = tmp_path / "one-failing"
-    _, failures = run_sweep(small_config(data_dir, str(out)))
+    _, failures = run_sweep(small_config(data_dir, str(out), int8_mode="symmetric"))
     assert failures == [(0.9, 32, "RuntimeError: injected quantize crash")]
     assert (out / "failures.log").read_text() == \
         "s=0.9 p=32: RuntimeError: injected quantize crash\n"
     written = records_from_csv((out / "results.csv").read_text())
-    assert [(r.sparsity, r.precision_bits) for r in written] == [(0.0, 32), (0.0, 8), (0.9, 8)]
+    assert [(r.sparsity, r.precision_bits, r.int8_mode) for r in written] == \
+        [(0.0, 32, None), (0.0, 8, "symmetric"), (0.9, 8, "symmetric")]
 
 
 def test_failed_baseline_cell_ends_the_sweep(data_dir, tmp_path, monkeypatch, capsys):
