@@ -7,6 +7,7 @@ plain-SGD training, and accuracy evaluation.  The last layer gives the logits;
 Everything is bit-deterministic on one machine at a fixed BLAS thread count:
 given (seed, config, data) two runs produce bit-identical parameters.  Other
 thread counts may sum GEMMs in another order and so give other bits.
+Training gathers each batch from the data by index, so it copies no split.
 
 A conv layer runs as flat 2-D GEMMs over its (N*OH*OW, k*k*C) patch matrix:
 one for the output, one for the weight gradient and one per kernel tap for
@@ -30,14 +31,20 @@ input-gradient taps.  A row split of a conv GEMM gives the same bits as the
 whole GEMM, and each part writes its own arrays, so the bits still depend
 only on the machine and the BLAS thread count, not on whether the helper
 runs.  Dense GEMMs are never split: their bits change with the number of
-rows.
+rows.  The sweep runs its rows on two lanes only where the helper gets no
+work (``_helper_gets_work``); were two callers to share it, each would join
+its own job.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import logging
 import math
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -94,6 +101,10 @@ if hasattr(os, "register_at_fork"):
 _MIN_HELPER_MACS = 1 << 26
 
 
+def _cpus() -> int:
+    return len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0))
+
+
 def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None],
                  macs: int) -> None:
     """Run ``helper_part()`` on the helper thread and ``own_part()`` on this one.
@@ -105,8 +116,7 @@ def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None],
     part allocates no array (a second malloc arena costs resident memory) and
     calls no public function of the package.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if macs < _MIN_HELPER_MACS or (cpus or 1) < 2:
+    if macs < _MIN_HELPER_MACS or _cpus() < 2:
         helper_part()
         own_part()
         return
@@ -115,6 +125,40 @@ def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None],
         own_part()
     finally:
         job.result()
+
+
+def _helper_gets_work(model: "Model", batch: int) -> bool:
+    """Whether, with two CPUs, a conv GEMM of ``model`` at ``batch`` (or an
+    evaluation batch of) examples would go to the helper."""
+    n, outs = max(batch, _EVAL_BATCH), infer_shapes(model.layers, model.input_shape)
+    return any(
+        n * out[0] * out[1] * model.params[f"{i}.weight"].size >= _MIN_HELPER_MACS
+        for i, (spec, out) in enumerate(zip(model.layers, outs)) if spec.kind == "conv2d")
+
+
+# thread id -> an event another thread sets to end that thread's work early
+_stop: dict[int, threading.Event] = {}
+
+
+def _check_stop() -> None:
+    """Raise KeyboardInterrupt if this thread has been asked to stop."""
+    if threading.get_ident() in _stop and _stop[threading.get_ident()].is_set():
+        raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS (if found) on one thread, then restore."""
+    found = glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so")
+    lib = ctypes.CDLL(found[0]) if len(found) == 1 else None  # two: cannot tell which numpy uses
+    count = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: 0)()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", lambda n: None)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None  # get's: ctypes' defaults
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +569,17 @@ class TrainConfig:
             raise ValueError(f"val_split {self.val_split} holds out all {num_examples} examples")
 
 
-def split_train_val(data: DatasetSplit, fraction: float, seed: int):
-    """Disjoint, exhaustive (train, val) split; |val| = round(fraction * N)."""
+def _split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0 <= fraction < 1:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    n = len(data)
     n_val = int(round(fraction * n))
-    rng = np.random.default_rng(np.random.SeedSequence([mask_seed(seed)]))
-    perm = rng.permutation(n)
-    return data.subset(perm[n_val:]), data.subset(perm[:n_val])
+    perm = np.random.default_rng(np.random.SeedSequence([mask_seed(seed)])).permutation(n)
+    return perm[n_val:], perm[:n_val]
+
+
+def split_train_val(data: DatasetSplit, fraction: float, seed: int):
+    """Disjoint, exhaustive (train, val) split; |val| = round(fraction * N)."""
+    return tuple(data.subset(idx) for idx in _split_indices(len(data), fraction, seed))
 
 
 def epoch_learning_rate(base_lr: float, epoch: int) -> float:
@@ -542,20 +588,21 @@ def epoch_learning_rate(base_lr: float, epoch: int) -> float:
 
 
 def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
-                epoch_mask: Callable):
+                epoch_mask: Callable, target: float | None = None):
     """The one epoch loop, behind both ``train`` and ``pruning.prune_and_finetune``.
 
     SGD-trains a copy of ``model`` on all but the ``cfg.val_split`` held-out
-    share of ``data``.  Epoch ``e`` runs at ``epoch_learning_rate`` and
-    shuffles with ``derive_seed(cfg.seed, stream, e)``.  ``epoch_mask(model,
-    e)`` gives that epoch's mask or None; a mask is applied at the start of
-    the epoch and after every optimizer step, so its weights stay exactly
-    0.0.  Returns the trained copy and the last epoch's mask.
+    share of ``data``, gathered by index: each batch as it is used, the
+    held-out share once per epoch, to evaluate it.  Epoch ``e`` runs at
+    ``epoch_learning_rate`` and shuffles with ``derive_seed(cfg.seed, stream,
+    e)``.  ``epoch_mask(model, e)`` gives that epoch's mask or None; a mask is
+    applied at the start of the epoch and after every optimizer step, so its
+    weights stay exactly 0.0; the log line names ``target``, the sparsity the
+    masks end at.  Returns the trained copy and the last epoch's mask.
     """
     cfg.validate(len(data))
     model = model.copy()
-    train_split, val_split = split_train_val(data, cfg.val_split, cfg.seed)
-    images, labels = train_split.images, train_split.labels
+    train_idx, held = _split_indices(len(data), cfg.val_split, cfg.seed)
     mask = None
     for epoch in range(cfg.epochs):
         mask = epoch_mask(model, epoch)
@@ -563,12 +610,13 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
             mask.apply(model.params)
         lr = epoch_learning_rate(cfg.learning_rate, epoch)
         seed = derive_seed(cfg.seed, stream, epoch)
-        order = np.random.default_rng(np.random.SeedSequence([seed])).permutation(len(images))
+        order = np.random.default_rng(np.random.SeedSequence([seed])).permutation(len(train_idx))
         losses = []
-        for bi, start in enumerate(range(0, len(images), cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
+        for bi, start in enumerate(range(0, len(train_idx), cfg.batch_size)):
+            _check_stop()
+            idx = train_idx[order[start:start + cfg.batch_size]]
             try:
-                loss, grads = loss_and_grad(model, images[idx], labels[idx])
+                loss, grads = loss_and_grad(model, data.images[idx], data.labels[idx])
             except TrainingDivergedError as e:
                 raise TrainingDivergedError(f"epoch {epoch}: batch {bi}: {e}") from None
             for name, grad in grads.items():
@@ -576,8 +624,8 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
             if mask is not None:
                 mask.apply(model.params)
             losses.append(loss)
-        sparsity = "" if mask is None else f"sparsity {mask.target_sparsity:.4f}, "
-        val = f", val acc {evaluate_accuracy(model, val_split):.2f}%" if len(val_split) else ""
+        sparsity = "" if mask is None else f"sparsity {mask.target_sparsity:.4f} of {target:.4f}, "
+        val = f", val acc {evaluate_accuracy(model, data.subset(held)):.2f}%" if len(held) else ""
         logger.info("epoch %d/%d: %sloss %.4f%s",
                     epoch + 1, cfg.epochs, sparsity, float(np.mean(losses)), val)
     return model, mask

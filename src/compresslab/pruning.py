@@ -104,8 +104,8 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
     target over epochs-1 steps; the final epoch trains at the target, so the
     returned model carries exactly the target sparsity.  Runs the same epoch
     loop as ``nncore.train`` (validation split, learning-rate decay,
-    divergence reporting, per-epoch logging) on a fine-tune-specific shuffle
-    stream, so results are bit-deterministic.
+    divergence reporting, per-epoch logging that names the target) on a
+    fine-tune-specific shuffle stream, so results are bit-deterministic.
     """
     if not 0 <= target_sparsity < 1:
         raise ValueError(f"target_sparsity must lie in [0, 1), got {target_sparsity}")
@@ -117,4 +117,4 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
         s = target_sparsity if schedule is None else schedule_sparsity(schedule, epoch)
         return build_mask(model.params, s)
 
-    return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask)
+    return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask, target_sparsity)

@@ -15,9 +15,9 @@ only read it.  Sizes are measured as gzip (level 9) byte counts with zeroed
 timestamp metadata, so they are reproducible.
 
 gzip_compress and gzipped_size share one compressor that remembers its last
-input and stream: sizing a payload and then saving it (or sizing it twice)
-compresses it once.  A repeat is recognised by exact byte equality, and the
-remembered pair stays referenced until a different stream is compressed.
+input and stream, so sizing then saving a payload compresses it once.  A
+repeat is exact byte equality; the pair stays until another stream replaces
+it, from either sweep lane (a miss costs nothing: each cell is gzipped once).
 load_artifact reads gzip through the dataset loaders' one reader.
 """
 

@@ -1,5 +1,8 @@
 """Full compression sweeps: train a baseline, then walk the
 sparsity x precision grid, writing one artifact per cell plus a results CSV.
+The baseline row runs first; the others, each a fine-tune of it, run on two
+lanes, this thread and one worker, in grid order: on one lane when one CPU
+is usable or a conv GEMM would give the other CPU to nncore's helper.
 
 Config files are flat ``key = value`` text; see parse_config.
 """
@@ -8,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from dataclasses import dataclass, replace
 
 from . import datasets, metrics, nncore, pruning, quantization, sizing
@@ -124,6 +128,74 @@ def artifact_name(arch: str, dataset: str, sparsity: float, bits: int) -> str:
     return f"{arch}_{dataset}_s{_fmt_sparsity(sparsity)}_p{bits}.mcmp.gz"
 
 
+def _on_two_lanes(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, taken in order by this thread and a worker.
+
+    An exception escaping ``fn`` stops both from taking more and is raised once
+    the worker has ended.  One that reaches this thread (an interrupt, say) also
+    ends the worker's item, at its next training batch or cell
+    (``nncore._stop``); a further interrupt does not wait for it."""
+    results, todo, lock, raised = {}, iter(enumerate(items)), threading.Lock(), []
+    stop, ended = threading.Event(), threading.Event()  # not join: an interrupt can spoil it
+
+    def take():
+        with lock:
+            return None if raised else next(todo, None)
+
+    def lane():
+        try:
+            for i, x in iter(take, None):
+                results[i] = fn(x)
+        except BaseException as e:
+            raised.append(e)
+
+    def work():
+        nncore._stop[threading.get_ident()] = stop
+        try:
+            lane()
+        finally:
+            del nncore._stop[threading.get_ident()]
+            ended.set()
+
+    worker = threading.Thread(target=work, name="compresslab-sweep-lane")
+    worker.start()
+    lane()
+    while not ended.is_set():
+        try:
+            if raised:
+                stop.set()
+            ended.wait()
+        except BaseException as e:  # an interrupt while waiting; a later one does not wait
+            if stop.is_set():
+                raise
+            raised.append(e)
+    worker.join()  # only the end of its thread is left
+    if raised:
+        raise raised[0]
+    return [results[i] for i in range(len(items))]
+
+
+def _row(cfg: SweepConfig, model, s: float, test_data) -> dict:
+    """{bits: (stored bytes, accuracy) or the error} of row ``s``; (0, 32)'s error is raised."""
+    cells = {}
+    for bits in cfg.precision_grid:
+        nncore._check_stop()
+        try:
+            payload = quantization.quantize_params(model.params, bits, cfg.int8_mode)
+            path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
+            size = sizing.save_artifact(path, payload)
+            stored = nncore.model_from_params(quantization.dequantize_params(payload))
+            cells[bits] = size, nncore.evaluate_accuracy(stored, test_data)
+            logger.info("cell s=%s p=%d: %d bytes, %.2f%% accuracy",
+                        _fmt_sparsity(s), bits, *cells[bits])
+        except Exception as e:
+            if s == 0.0 and bits == 32:
+                raise
+            cells[bits] = f"{type(e).__name__}: {e}"
+    return cells
+
+
+@nncore._one_blas_thread()  # so the bits do not depend on the caller's BLAS thread count
 def run_sweep(cfg: SweepConfig):
     """Train the baseline, walk the grid, save artifacts and the results CSV
     in ``cfg.out_dir``.  A cell is scored on the model rebuilt from its stored
@@ -136,57 +208,37 @@ def run_sweep(cfg: SweepConfig):
     """
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    logger.info("training %s baseline on %s (%d examples)", cfg.arch, cfg.dataset, len(train_data))
+    baseline = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data, cfg.train_config())
 
-    logger.info("training %s baseline on %s (%d examples)",
-                cfg.arch, cfg.dataset, len(train_data))
-    baseline = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data,
-                            cfg.train_config())
+    def pruned_row(s: float) -> dict:  # its fine-tune's epoch lines name it
+        try:
+            model, _ = pruning.prune_and_finetune(baseline, train_data, cfg.finetune_config(), s)
+        except Exception as e:
+            return dict.fromkeys(cfg.precision_grid, f"{type(e).__name__}: {e}")
+        return _row(cfg, model, s, test_data)
 
-    records: list[CompressionRecord] = []
-    failures: list[tuple[float, int, str]] = []
-
-    def fail(s: float, bits: int, e: Exception) -> None:
-        err = f"{type(e).__name__}: {e}"
-        logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, err)
-        failures.append((s, bits, err))
-
-    # one row per sparsity; config validation puts the baseline cell (0, 32) first
-    for s in cfg.sparsity_grid:
-        model = baseline
-        if s > 0.0:
-            logger.info("pruning to sparsity %s", _fmt_sparsity(s))
-            try:
-                model, _ = pruning.prune_and_finetune(baseline, train_data,
-                                                      cfg.finetune_config(), s)
-            except Exception as e:
-                for bits in cfg.precision_grid:
-                    fail(s, bits, e)
+    # two lanes where a second CPU is usable and no conv GEMM gives it to the helper
+    two = nncore._cpus() > 1 and not nncore._helper_gets_work(baseline, cfg.batch_size)
+    rows = [_row(cfg, baseline, 0.0, test_data),
+            *(_on_two_lanes if two else map)(pruned_row, cfg.sparsity_grid[1:])]
+    records, failures = [], []  # CompressionRecords; (sparsity, bits, error string)s
+    base_size, base_acc = rows[0][32]  # config validation put the baseline first
+    for s, row in zip(cfg.sparsity_grid, rows):
+        for bits, cell in row.items():
+            if isinstance(cell, str):
+                logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, cell)
+                failures.append((s, bits, cell))
                 continue
-        for bits in cfg.precision_grid:
-            try:
-                payload = quantization.quantize_params(model.params, bits, cfg.int8_mode)
-                path = os.path.join(cfg.out_dir, artifact_name(cfg.arch, cfg.dataset, s, bits))
-                size = sizing.save_artifact(path, payload)
-                stored = nncore.model_from_params(quantization.dequantize_params(payload))
-                acc = nncore.evaluate_accuracy(stored, test_data)
-                scores = {}  # the baseline is its own reference point
-                if s == 0.0 and bits == 32:
-                    base_size, base_acc = size, acc
-                else:
-                    delta = metrics.accuracy_delta(acc, base_acc)
-                    reduction = sizing.reduction_factor(base_size, size)
-                    scores = {"reduction_factor": reduction, "delta_acc_pp": delta,
-                              "quality": metrics.quality_metric(s, bits, reduction, delta)}
-                records.append(CompressionRecord(
-                    sparsity=s, precision_bits=bits,
-                    int8_mode=cfg.int8_mode if bits == 8 else None,
-                    size_bytes=size, accuracy_pct=acc, **scores))
-                logger.info("cell s=%s p=%d: %d bytes, %.2f%% accuracy",
-                            _fmt_sparsity(s), bits, size, acc)
-            except Exception as e:
-                if s == 0.0 and bits == 32:
-                    raise  # every other cell is scored against the baseline
-                fail(s, bits, e)
+            size, acc = cell
+            scores = {}  # the baseline is its own reference point
+            if (s, bits) != (0.0, 32):
+                delta = metrics.accuracy_delta(acc, base_acc)
+                reduction = sizing.reduction_factor(base_size, size)
+                scores = {"reduction_factor": reduction, "delta_acc_pp": delta,
+                          "quality": metrics.quality_metric(s, bits, reduction, delta)}
+            records.append(CompressionRecord(s, bits, cfg.int8_mode if bits == 8 else None,
+                                             size, acc, **scores))
 
     csv_text = metrics.records_to_csv(records)
     with open(os.path.join(cfg.out_dir, RESULTS_CSV), "w") as f:
