@@ -12,14 +12,18 @@ Training gathers each batch from the data by index, so it copies no split.
 A conv layer runs as flat 2-D GEMMs over its (N*OH*OW, k*k*C) patch matrix:
 one for the output, one for the weight gradient and one per kernel tap for
 the input gradient.  The first layer's input gradient, which nothing uses,
-is not computed.  Maxpool is the elementwise max of each 2x2 window's four
-corners; a tie (-0.0 vs 0.0 included) goes to the first corner in row-major
-order, in the output and in the gradient, which it routes by a one-byte
-winner index per output kept instead of its input.  Every conv block runs
-conv -> maxpool -> relu: relu commutes with a max, so the outputs and
-parameter gradients are those of conv -> relu -> maxpool, with relu on a
-quarter of the elements.  The two cut the tracemalloc peak of a cifar-smallnet
-training step at batch 128 from 279 to 189 MB (mnist-cnn: 15.7 to 9.8 MB).
+is not computed.  A one-channel input's patch matrix is stored tap-major (as
+its transpose), so its fill copies whole image rows and BLAS reads it
+transposed; the conv bias is added over each example's whole output row.
+Both give the bits of the cell-major matrix and the per-pixel add.  Maxpool
+is the elementwise max of each 2x2 window's four corners; a tie (-0.0 vs 0.0
+included) goes to the first corner in row-major order, in the output and in
+the gradient, which it routes by a one-byte winner index per output kept
+instead of its input.  Every conv block runs conv -> maxpool -> relu: relu
+commutes with a max, so the outputs and parameter gradients are those of
+conv -> relu -> maxpool, with relu on a quarter of the elements.  The two
+cut the tracemalloc peak of a cifar-smallnet training step at batch 128 from
+279 to 189 MB (mnist-cnn: 15.7 to 9.8 MB).
 
 The conv kernels, and nothing else, use one private helper thread when more
 than one CPU is usable and the GEMM has at least 2**26 multiply-adds (true of
@@ -186,9 +190,10 @@ def _windows_of(x: np.ndarray, k: int, pad: int) -> np.ndarray:
 def _conv2d_forward(spec, x, keep, w, b):
     """One flat GEMM over the (N*OH*OW, k*k*C) patch matrix, split by rows.
 
-    The helper thread copies the windows of the first N // 2 examples into
-    their rows of the patch matrix and multiplies them, this thread the rest.
-    A 4-D operand would make numpy run N*OH small GEMMs instead.
+    The helper thread fills, multiplies and biases the patch rows of the first
+    N // 2 examples, this thread the rest.  A 4-D operand would make numpy run
+    N*OH small GEMMs instead.  With more channels a tap-major matrix made the
+    GEMMs slower (cifar-smallnet conv 3's forward 113 -> 341 ms at batch 128).
     """
     n, (oh, ow, f) = x.shape[0], _conv2d_shape(spec, x.shape[1:])
     w2 = w.reshape(-1, f)
@@ -196,14 +201,20 @@ def _conv2d_forward(spec, x, keep, w, b):
     # peak RSS in a cifar-smallnet training run (heap fragmentation)
     y = np.empty((n * oh * ow, f), dtype=np.result_type(x, w2))
     windows = _windows_of(x, w.shape[0], spec.padding)
-    cols = np.empty(windows.shape, dtype=windows.dtype)
-    flat = cols.reshape(n * oh * ow, -1)
+    if x.shape[3] == 1:  # tap-major, so each tap's fill copies whole image rows
+        buf = np.empty(windows.shape[3:] + windows.shape[:3], dtype=windows.dtype)
+        cols, flat = buf.transpose(3, 4, 5, 0, 1, 2), buf.reshape(w2.shape[0], -1).T
+    else:
+        cols = np.empty(windows.shape, dtype=windows.dtype)
+        flat = cols.reshape(n * oh * ow, -1)
+    bias_row = np.tile(b, oh * ow)  # one example's output row, tiled here: no helper malloc
 
     def rows(lo, hi):
         np.copyto(cols[lo:hi], windows[lo:hi])
         r = slice(lo * oh * ow, hi * oh * ow)
         np.matmul(flat[r], w2, out=y[r])
-        y[r] += b
+        y_rows = y[r].reshape(hi - lo, oh * ow * f)
+        np.add(y_rows, bias_row, out=y_rows)
 
     _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n), flat.size * f)
     return y.reshape(n, oh, ow, f), (flat, x.shape)

@@ -56,8 +56,6 @@ def serialize_model(tensors: dict) -> bytes:
             arr = np.asarray(value)
             value = QuantizedTensor(_FLOAT16 if arr.dtype == np.float16 else _FLOAT32, arr)
         p, codec, shape = value.params, _CODECS[value.params.mode], value.payload.shape
-        if len(shape) > 0xFF:
-            raise ValueError(f"tensor {name}: too many dimensions ({len(shape)})")
         chunks += [struct.pack("<H", len(name_bytes)), name_bytes,
                    struct.pack(f"<BBB{len(shape)}I", codec.code, codec.flag, len(shape), *shape)]
         if codec.flag:

@@ -218,14 +218,19 @@ def test_small_conv_gemms_stay_on_the_calling_thread(monkeypatch):
     evaluate_accuracy(model, data)
 
 
-def _single_gemm_conv(spec, x, w, b):
-    """The unsplit formula: one patch-matrix copy, one GEMM, one bias add."""
-    k, pad, f = spec.kernel_size, spec.padding, spec.filters
+def _cell_major_cols(spec, x):
+    """The C-contiguous (N*OH*OW, k*k*C) patch matrix, and (N, OH, OW)."""
+    k, pad = spec.kernel_size, spec.padding
     x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
     n, oh, ow, c = win.shape[:4]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c)
-    return (cols @ w.reshape(-1, f) + b).reshape(n, oh, ow, f)
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c), (n, oh, ow)
+
+
+def _single_gemm_conv(spec, x, w, b):
+    """The unsplit formula: one patch-matrix copy, one GEMM, one bias add."""
+    cols, nhw = _cell_major_cols(spec, x)
+    return (cols @ w.reshape(-1, spec.filters) + b).reshape(*nhw, spec.filters)
 
 
 @pytest.mark.parametrize("arch, layer", [("mnist-cnn", 0), ("cifar-smallnet", 0),
@@ -242,6 +247,30 @@ def test_split_conv_forward_equals_one_gemm(arch, layer, split_every_conv):
         x = rng.standard_normal((n, *in_shape)).astype(np.float32)
         y, _ = nncore._conv2d_forward(spec, x, False, w, b)
         _assert_same_bits(y, _single_gemm_conv(spec, x, w, b))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["inline", "split"])
+def test_one_channel_conv_keeps_the_cell_major_bits(split, monkeypatch, request):
+    """mnist-cnn's conv 0 stores its patch matrix tap-major; both passes give
+    the bits of the cell-major matrix."""
+    if split:
+        request.getfixturevalue("split_every_conv")
+    else:
+        _one_cpu(monkeypatch)
+    model = build_model("mnist-cnn", seed=5)
+    spec, w, b = model.layers[0], model.params["0.weight"], model.params["0.bias"]
+    b[:] = np.random.default_rng(6).standard_normal(b.shape)
+    rng = np.random.default_rng(9)
+    for n in BATCH_SIZES:
+        x = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
+        y, cache = nncore._conv2d_forward(spec, x, True, w, b)
+        _assert_same_bits(y, _single_gemm_conv(spec, x, w, b))
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx, (dw, db) = nncore._conv2d_backward(spec, dy, cache, False, w, b)
+        assert dx is None
+        cols = _cell_major_cols(spec, x)[0]
+        _assert_same_bits(dw, (cols.T @ dy.reshape(-1, spec.filters)).reshape(w.shape))
+        _assert_same_bits(db, dy.sum(axis=(0, 1, 2)))
 
 
 def test_in_parallel_joins_the_helper_when_a_part_raises():
@@ -690,6 +719,7 @@ def test_evaluate_accuracy_pads_the_last_batch(arch, dataset, monkeypatch):
     monkeypatch.setattr(nncore, "forward", recording_forward)
     evaluate_accuracy(model, data)
     assert [len(probs) for probs in calls] == [nncore._EVAL_BATCH] * 3
+    assert len(calls[0]) == 128  # the evaluation batch README states
     # the tail example gets the bits it gets as the last row of a full batch
     full = forward(model, data.images[-nncore._EVAL_BATCH:])
     _assert_same_bits(calls[-1][0], full[-1])

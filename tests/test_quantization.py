@@ -127,6 +127,14 @@ def test_rounding_is_half_to_even():
     np.testing.assert_array_equal(q.payload, [0, 2, 2, 0, -2])
 
 
+def test_zero_point_rounds_half_to_even():
+    # qmin - rmin / scale = 0 + 1.0625 / 0.125 = 8.5 exactly; half up would give 9
+    w = np.array([-1.0625, 30.8125, 0.5, 3.0], dtype=np.float32)
+    p = compute_quant_params(w, 8, "asymmetric")
+    assert p.scale == 0.125
+    assert p.zero_point == 8
+
+
 # ---------------------------------------------------------------------------
 # invariant properties (seeded sweep; the acceptance suite runs 1000 tensors)
 
