@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import logging
 import math
@@ -150,19 +151,37 @@ def _check_stop() -> None:
         raise KeyboardInterrupt
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS (if found) on one thread, then restore."""
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread-count (get, set) functions, or None;
+    looked up once per process."""
     found = glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so")
     lib = ctypes.CDLL(found[0]) if len(found) == 1 else None  # two: cannot tell which numpy uses
-    count = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: 0)()
-    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", lambda n: None)
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None  # get's: ctypes' defaults
-    set_threads(1)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_threads is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS (if found) on one thread, then restore.
+
+    A count already at 1 is not set at all, so a pin inside another (a
+    sweep lane's fine-tune, each ``forward`` of an evaluation) calls no
+    setter while another thread runs BLAS."""
+    blas = _openblas()
+    count = blas[0]() if blas else 1
+    if count != 1:
+        blas[1](1)
     try:
         yield
     finally:
-        set_threads(count)
+        if count != 1:
+            blas[1](count)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +465,7 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+@_one_blas_thread()
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch; rows are non-negative and sum to 1.
     A row's last bits can change with the batch's row count (dense GEMMs)."""
@@ -599,12 +619,13 @@ def epoch_learning_rate(base_lr: float, epoch: int) -> float:
 
 
 def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
-                epoch_mask: Callable, target: float | None = None):
+                epoch_mask: Callable, target: float | None = None, epochs: range | None = None):
     """The one epoch loop, behind both ``train`` and ``pruning.prune_and_finetune``.
 
-    SGD-trains a copy of ``model`` on all but the ``cfg.val_split`` held-out
-    share of ``data``, gathered by index: each batch as it is used, the
-    held-out share once per epoch, to evaluate it.  Epoch ``e`` runs at
+    SGD-trains a copy of ``model`` for ``epochs``, absolute indices into
+    ``range(cfg.epochs)`` (default all of it), on all but the ``cfg.val_split``
+    held-out share of ``data``, gathered by index: each batch as it is used,
+    the held-out share once per epoch, to evaluate it.  Epoch ``e`` runs at
     ``epoch_learning_rate`` and shuffles with ``derive_seed(cfg.seed, stream,
     e)``.  ``epoch_mask(model, e)`` gives that epoch's mask or None; a mask is
     applied at the start of the epoch and after every optimizer step, so its
@@ -612,10 +633,13 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
     masks end at.  Returns the trained copy and the last epoch's mask.
     """
     cfg.validate(len(data))
+    epochs = range(cfg.epochs) if epochs is None else epochs
+    if not set(epochs) <= set(range(cfg.epochs)):
+        raise ValueError(f"epochs {epochs} must lie in range({cfg.epochs})")
     model = model.copy()
     train_idx, held = _split_indices(len(data), cfg.val_split, cfg.seed)
     mask = None
-    for epoch in range(cfg.epochs):
+    for epoch in epochs:
         mask = epoch_mask(model, epoch)
         if mask is not None:
             mask.apply(model.params)
@@ -642,6 +666,7 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
     return model, mask
 
 
+@_one_blas_thread()
 def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
     """SGD-train a copy of ``model``; bit-deterministic given (seed, data, cfg)
     on one machine at a fixed BLAS thread count.
@@ -654,6 +679,7 @@ def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
     return _run_epochs(model, data, cfg, 0, lambda model, epoch: None)[0]
 
 
+@_one_blas_thread()
 def evaluate_accuracy(model: Model, data: DatasetSplit) -> float:
     """Percent of argmax-correct predictions; argmax ties go to the lowest class.
     Each ``forward`` call gets ``_EVAL_BATCH`` rows, the last batch padded with

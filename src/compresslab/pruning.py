@@ -1,5 +1,9 @@
 """Magnitude pruning: per-tensor masks, a cubic sparsity ramp, and
 mask-enforced fine-tuning.  Biases are never pruned.
+
+A fine-tune can start at a later epoch from the model an earlier run of its
+first epochs left; the sweep trains the first epoch once for every row whose
+ramp starts at the same sparsity, and each row goes on from there.
 """
 
 from __future__ import annotations
@@ -95,8 +99,17 @@ def build_mask(params: dict[str, np.ndarray], sparsity: float) -> PruneMask:
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 
+def _ramp(target_sparsity: float, epochs: int) -> SparsitySchedule:
+    """A fine-tune's cubic ramp: from min(0.5, target) to the target over
+    epochs - 1 steps (an epoch each).  A one-epoch fine-tune has none: it
+    trains at the target."""
+    return SparsitySchedule(min(0.5, target_sparsity), target_sparsity, epochs - 1)
+
+
+@nncore._one_blas_thread()
 def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
-                       target_sparsity: float) -> tuple[Model, PruneMask]:
+                       target_sparsity: float, *,
+                       epochs: range | None = None) -> tuple[Model, PruneMask]:
     """Gradually prune to ``target_sparsity`` while fine-tuning.
 
     The mask is recomputed from current weight magnitudes at the start of
@@ -106,15 +119,22 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
     loop as ``nncore.train`` (validation split, learning-rate decay,
     divergence reporting, per-epoch logging that names the target) on a
     fine-tune-specific shuffle stream, so results are bit-deterministic.
+
+    ``epochs`` runs only those epochs of the ``cfg.epochs`` (absolute
+    indices; default all).  With ``epochs=range(k, cfg.epochs)``, ``model``
+    must be the model after epochs 0..k-1 of a fine-tune with the same data
+    and config; the result is then that whole fine-tune's, bit for bit.  For
+    k = 1 the earlier fine-tune's target may be any whose ramp starts at the
+    same sparsity (``schedule_sparsity(_ramp(target, cfg.epochs), 0)``): the
+    first epoch trains at the ramp's start whatever the target.
     """
     if not 0 <= target_sparsity < 1:
         raise ValueError(f"target_sparsity must lie in [0, 1), got {target_sparsity}")
-    schedule = None
-    if cfg.epochs > 1:
-        schedule = SparsitySchedule(min(0.5, target_sparsity), target_sparsity, cfg.epochs - 1)
+    schedule = _ramp(target_sparsity, cfg.epochs) if cfg.epochs > 1 else None
 
     def epoch_mask(model: Model, epoch: int) -> PruneMask:
         s = target_sparsity if schedule is None else schedule_sparsity(schedule, epoch)
         return build_mask(model.params, s)
 
-    return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask, target_sparsity)
+    return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask, target_sparsity,
+                              epochs=epochs)

@@ -18,13 +18,17 @@ gzip_compress and gzipped_size share one compressor that remembers its last
 input and stream, so sizing then saving a payload compresses it once.  A
 repeat is exact byte equality; the pair stays until another stream replaces
 it, from either sweep lane (a miss costs nothing: each cell is gzipped once).
-load_artifact reads gzip through the dataset loaders' one reader.
+load_artifact reads gzip through the dataset loaders' one reader; artifacts,
+like the sweep's results.csv and failures.log, are written whole or not at
+all (``_write_file``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 import struct
 import zlib
 
@@ -174,9 +178,23 @@ def save_artifact(path: str, tensors: dict) -> int:
     data = serialize_model(tensors)
     if str(path).endswith(".gz"):
         data = gzip_compress(data)
-    with open(path, "wb") as f:
-        f.write(data)
+    _write_file(path, data)
     return len(data)
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` + ".tmp", then move it over ``path``, so a
+    write that fails midway leaves neither a partial ``path`` (an older one
+    stays whole) nor the temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_artifact(path: str) -> dict:

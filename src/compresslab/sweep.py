@@ -2,7 +2,10 @@
 sparsity x precision grid, writing one artifact per cell plus a results CSV.
 The baseline row runs first; the others, each a fine-tune of it, run on two
 lanes, this thread and one worker, in grid order: on one lane when one CPU
-is usable or a conv GEMM would give the other CPU to nncore's helper.
+is usable or a conv GEMM would give the other CPU to nncore's helper.  Rows
+whose fine-tunes ramp from the same sparsity (every target of 0.5 or more)
+train the same first epoch; each sweep trains it once, on one lane while the
+other stores the baseline row, and those rows go on from it.
 
 Config files are flat ``key = value`` text; see parse_config.
 """
@@ -13,6 +16,7 @@ import logging
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import datasets, metrics, nncore, pruning, quantization, sizing
 from .metrics import CompressionRecord, _fmt_sparsity
@@ -175,6 +179,18 @@ def _on_two_lanes(fn, items: list) -> list:
     return [results[i] for i in range(len(items))]
 
 
+def _sharing_first_epoch(cfg: SweepConfig) -> list[tuple]:
+    """The groups of two or more pruned rows whose fine-tunes train the same
+    first epoch: those whose ramps start at the same sparsity."""
+    if cfg.epochs == 1:  # no ramp: each trains at its own target
+        return []
+    starts: dict[float, list] = {}
+    for s in cfg.sparsity_grid[1:]:
+        start = pruning.schedule_sparsity(pruning._ramp(s, cfg.epochs), 0)
+        starts.setdefault(start, []).append(s)
+    return [tuple(group) for group in starts.values() if len(group) > 1]
+
+
 def _row(cfg: SweepConfig, model, s: float, test_data) -> dict:
     """{bits: (stored bytes, accuracy) or the error} of row ``s``; (0, 32)'s error is raised."""
     cells = {}
@@ -211,17 +227,37 @@ def run_sweep(cfg: SweepConfig):
     logger.info("training %s baseline on %s (%d examples)", cfg.arch, cfg.dataset, len(train_data))
     baseline = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data, cfg.train_config())
 
+    ft_cfg, groups = cfg.finetune_config(), _sharing_first_epoch(cfg)
+
+    def first_epoch(group: tuple) -> nncore.Model | str:  # the model after it, or its error
+        logger.info("fine-tune epoch 1 of rows s=%s, trained once for all",
+                    ", ".join(map(_fmt_sparsity, group)))
+        try:
+            return pruning.prune_and_finetune(baseline, train_data, ft_cfg, group[0],
+                                              epochs=range(1))[0]
+        except Exception as e:
+            return f"{type(e).__name__}: {e}"
+
     def pruned_row(s: float) -> dict:  # its fine-tune's epoch lines name it
         try:
-            model, _ = pruning.prune_and_finetune(baseline, train_data, cfg.finetune_config(), s)
+            if s not in first:
+                model, _ = pruning.prune_and_finetune(baseline, train_data, ft_cfg, s)
+            elif isinstance(first[s], str):
+                return dict.fromkeys(cfg.precision_grid, first[s])
+            else:
+                model, _ = pruning.prune_and_finetune(first[s], train_data, ft_cfg, s,
+                                                      epochs=range(1, cfg.epochs))
         except Exception as e:
             return dict.fromkeys(cfg.precision_grid, f"{type(e).__name__}: {e}")
         return _row(cfg, model, s, test_data)
 
     # two lanes where a second CPU is usable and no conv GEMM gives it to the helper
     two = nncore._cpus() > 1 and not nncore._helper_gets_work(baseline, cfg.batch_size)
-    rows = [_row(cfg, baseline, 0.0, test_data),
-            *(_on_two_lanes if two else map)(pruned_row, cfg.sparsity_grid[1:])]
+    lanes = _on_two_lanes if two else map
+    row0, *firsts = lanes(lambda job: job(), [partial(_row, cfg, baseline, 0.0, test_data),
+                                              *(partial(first_epoch, g) for g in groups)])
+    first = {s: model for group, model in zip(groups, firsts) for s in group}
+    rows = [row0, *lanes(pruned_row, cfg.sparsity_grid[1:])]
     records, failures = [], []  # CompressionRecords; (sparsity, bits, error string)s
     base_size, base_acc = rows[0][32]  # config validation put the baseline first
     for s, row in zip(cfg.sparsity_grid, rows):
@@ -240,11 +276,9 @@ def run_sweep(cfg: SweepConfig):
             records.append(CompressionRecord(s, bits, cfg.int8_mode if bits == 8 else None,
                                              size, acc, **scores))
 
-    csv_text = metrics.records_to_csv(records)
-    with open(os.path.join(cfg.out_dir, RESULTS_CSV), "w") as f:
-        f.write(csv_text)
+    sizing._write_file(os.path.join(cfg.out_dir, RESULTS_CSV),
+                       metrics.records_to_csv(records).encode())
     if failures:
-        with open(os.path.join(cfg.out_dir, FAILURES_LOG), "w") as f:
-            for s, bits, err in failures:
-                f.write(f"s={_fmt_sparsity(s)} p={bits}: {err}\n")
+        sizing._write_file(os.path.join(cfg.out_dir, FAILURES_LOG), "".join(
+            f"s={_fmt_sparsity(s)} p={bits}: {err}\n" for s, bits, err in failures).encode())
     return records, failures

@@ -3,6 +3,7 @@ whole pipeline is exercised without large downloads, plus opt-in access to
 real dataset directories via environment variables.
 """
 
+import errno
 import gzip
 import os
 import struct
@@ -41,6 +42,24 @@ def synthetic_cifar_dataset(n: int, seed: int = 0) -> DatasetSplit:
     np.clip(images, 0.0, 1.0, out=images)
     images = np.rint(images * 255) / np.float32(255)
     return DatasetSplit(images.astype(np.float32), labels.astype(np.int64))
+
+
+class DiskFullMidway:
+    """``open`` for a write that stores half of what it is given, then fails."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.file.write(data[:len(data) // 2])
+        self.file.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def write_idx_files(directory: str, train: DatasetSplit, test: DatasetSplit,

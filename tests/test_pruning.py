@@ -244,3 +244,23 @@ def test_prune_divergence_names_epoch_and_batch(synth_train):
     with np.errstate(invalid="ignore"), \
             pytest.raises(TrainingDivergedError, match="epoch 0: batch 0: non-finite loss"):
         prune_and_finetune(model, synth_train, cfg, 0.5)
+
+
+def _same_params(a, b):
+    return {n: p.tobytes() for n, p in a.params.items()} == \
+        {n: p.tobytes() for n, p in b.params.items()}
+
+
+def test_a_fine_tune_resumed_at_a_later_epoch_is_the_whole_one(tiny_trained, synth_train):
+    cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.02, val_split=0.2, seed=5)
+    whole, whole_mask = prune_and_finetune(tiny_trained, synth_train, cfg, 0.8)
+    head, _ = prune_and_finetune(tiny_trained, synth_train, cfg, 0.8, epochs=range(2))
+    tail, mask = prune_and_finetune(head, synth_train, cfg, 0.8, epochs=range(2, 3))
+    assert _same_params(tail, whole) and mask.masks.keys() == whole_mask.masks.keys()
+    assert all(np.array_equal(mask.masks[n], whole_mask.masks[n]) for n in mask.masks)
+    # the first epoch trains at the ramp's start, so any target ramping from 0.5 can go on from it
+    first, _ = prune_and_finetune(tiny_trained, synth_train, cfg, 0.95, epochs=range(1))
+    assert _same_params(prune_and_finetune(first, synth_train, cfg, 0.8,
+                                           epochs=range(1, 3))[0], whole)
+    with pytest.raises(ValueError, match=r"epochs range\(2, 4\) must lie in range\(3\)"):
+        prune_and_finetune(tiny_trained, synth_train, cfg, 0.8, epochs=range(2, 4))

@@ -4,12 +4,14 @@ reproducible gzip sizing, and file round trips.
 
 import gzip
 import math
+import os
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from compresslab import sizing
 from compresslab.nncore import build_model
 from compresslab.quantization import (_CODECS, QuantParams, QuantizedTensor,
                                       compute_quant_params, dequantize_tensor,
@@ -17,6 +19,7 @@ from compresslab.quantization import (_CODECS, QuantParams, QuantizedTensor,
 from compresslab.sizing import (ArtifactFormatError, gzip_compress, gzipped_size,
                                 load_artifact, parse_model_bytes, reduction_factor,
                                 save_artifact, serialize_model)
+from conftest import DiskFullMidway
 
 
 def test_empty_map_is_twelve_bytes():
@@ -332,3 +335,15 @@ def test_load_artifact_quantized_roundtrip(tmp_path, tiny_trained):
                                           dequantize_tensor(v))
         else:
             np.testing.assert_array_equal(parsed[name], v)
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path, monkeypatch, tiny_trained):
+    path = tmp_path / "m.mcmp.gz"
+    monkeypatch.setattr(sizing, "open", DiskFullMidway, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_artifact(str(path), tiny_trained.params)
+    assert os.listdir(tmp_path) == []
+    path.write_bytes(b"older")  # an older file stays whole
+    with pytest.raises(OSError, match="No space left on device"):
+        save_artifact(str(path), tiny_trained.params)
+    assert os.listdir(tmp_path) == ["m.mcmp.gz"] and path.read_bytes() == b"older"

@@ -11,12 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from compresslab import cli, pruning, quantization, sweep
+from compresslab import cli, pruning, quantization, sizing, sweep
 from compresslab.metrics import records_from_csv
 from compresslab.nncore import TrainConfig, build_model
 from compresslab.sizing import load_artifact, save_artifact
 from compresslab.sweep import SweepConfig, parse_config, run_sweep
-from conftest import synthetic_dataset, write_idx_files
+from conftest import DiskFullMidway, synthetic_dataset, write_idx_files
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,21 @@ def test_failed_baseline_cell_ends_the_sweep(data_dir, tmp_path, monkeypatch, ca
     assert cli.main(["--quiet", "sweep", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "error: RuntimeError: injected quantize crash\n"
     assert os.listdir(out_dir) == []  # no results.csv, no failures.log
+
+
+def test_a_results_write_that_fails_midway_leaves_no_results_file(data_dir, tmp_path,
+                                                                  monkeypatch):
+    real_open = open
+
+    def full_disk_for_the_csv(path, mode):
+        return (DiskFullMidway if "results.csv" in path else real_open)(path, mode)
+
+    monkeypatch.setattr(sizing, "open", full_disk_for_the_csv, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space left on device"):
+        run_sweep(small_config(data_dir, str(out), epochs=1))
+    assert sorted(os.listdir(out)) == sorted(
+        sweep.artifact_name("mnist-cnn", "mnist", s, bits) for s in (0.0, 0.9) for bits in (32, 8))
 
 
 def test_sweep_config_validation(data_dir):

@@ -1,9 +1,11 @@
 """The sweep's rows on two lanes: the same bytes as one lane, failures kept in
 grid order, no thread left behind, a BLAS thread count the caller cannot
-change, and log lines that name their row.
+change, and log lines that name their row; and the first fine-tune epoch
+that rows ramping from the same sparsity share, trained once per sweep.
 """
 
 import ctypes
+import functools
 import glob
 import hashlib
 import logging
@@ -13,11 +15,12 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from compresslab import nncore, pruning, quantization, sweep
+from compresslab import datasets, nncore, pruning, quantization, sizing, sweep
 from compresslab.nncore import TrainConfig, build_model, split_train_val
 from compresslab.sweep import SweepConfig, run_sweep
 from conftest import synthetic_dataset, write_idx_files
@@ -245,6 +248,109 @@ def test_fine_tune_epoch_lines_name_their_row(caplog):
     assert lines[1].startswith("epoch 2/2: sparsity 0.9900 of 0.9900, loss ")
 
 
+def _shared_config(data_dir, out_dir):
+    """Two epochs, so rows 0.5 and 0.9 share their first; 0.25's ramp starts at 0.25."""
+    return replace(_config(data_dir, out_dir), epochs=2, sparsity_grid=(0.0, 0.25, 0.5, 0.9))
+
+
+def _two_lanes_then_one(cfg, out_dir, monkeypatch):
+    """``run_sweep`` into ``out_dir``/two and ``out_dir``/one; both must give
+    the same files and results.  Returns the two-lane results."""
+    results = []
+    for lanes in ("two", "one"):
+        with monkeypatch.context() as m:
+            m.setattr(nncore, "_cpus", lambda: 2 if lanes == "two" else 1)
+            results.append(run_sweep(replace(cfg, out_dir=str(out_dir / lanes))))
+    assert _files(out_dir / "two") == _files(out_dir / "one")
+    assert results[0] == results[1]
+    return results[0]
+
+
+@pytest.fixture(scope="module")
+def shared_sweep(data_dir, tmp_path_factory):
+    """A sweep whose rows 0.5 and 0.9 share a first epoch, and the fine-tunes it ran."""
+    cfg, out, calls = _shared_config(data_dir, ""), tmp_path_factory.mktemp("shared"), set()
+    real = pruning.prune_and_finetune
+
+    def recorded(model, data, cfg, target, epochs=None):
+        calls.add((target, epochs))
+        return real(model, data, cfg, target, epochs=epochs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pruning, "prune_and_finetune", recorded)
+        records, failures = _two_lanes_then_one(cfg, out, m)
+    return cfg, out / "two", records, failures, calls
+
+
+def test_rows_sharing_a_first_epoch_match_their_whole_fine_tunes(data_dir, shared_sweep):
+    cfg, out, _, failures, calls = shared_sweep
+    assert not failures
+    assert sweep._sharing_first_epoch(cfg) == [(0.5, 0.9)]
+    assert calls == {(0.25, None), (0.5, range(1)), (0.5, range(1, 2)), (0.9, range(1, 2))}
+    stored = lambda s: (out / sweep.artifact_name(cfg.arch, cfg.dataset, s, 32)).read_bytes()
+    baseline = nncore.model_from_params(sizing.load_artifact(
+        str(out / sweep.artifact_name(cfg.arch, cfg.dataset, 0.0, 32))))
+    train_data, _ = datasets.load_mnist(data_dir)
+    for s in (0.25, 0.5, 0.9):
+        whole, _ = pruning.prune_and_finetune(baseline, train_data, cfg.finetune_config(), s)
+        path = out.parent / f"whole-{s}.mcmp.gz"
+        sizing.save_artifact(str(path), quantization.quantize_params(whole.params, 32,
+                                                                     cfg.int8_mode))
+        assert path.read_bytes() == stored(s)
+
+
+def test_a_failed_shared_epoch_fails_the_rows_it_serves(data_dir, tmp_path, monkeypatch,
+                                                        shared_sweep):
+    _, clean_out, clean_records, _, _ = shared_sweep
+    real = pruning.prune_and_finetune
+
+    def fail_first_epoch(model, data, cfg, target, epochs=None):
+        if epochs == range(1):  # picked by value: the lanes interleave calls
+            raise RuntimeError("injected first-epoch crash")
+        return real(model, data, cfg, target, epochs=epochs)
+
+    monkeypatch.setattr(pruning, "prune_and_finetune", fail_first_epoch)
+    records, failures = _two_lanes_then_one(_shared_config(data_dir, ""), tmp_path, monkeypatch)
+    assert failures == [(s, bits, "RuntimeError: injected first-epoch crash")
+                        for s in (0.5, 0.9) for bits in (32, 16, 8)]
+    assert records == [r for r in clean_records if r.sparsity in (0.0, 0.25)]
+    files = _files(tmp_path / "two")
+    assert {name for name in files if "_s0.5_" in name or "_s0.9_" in name} == set()
+    assert {name: data for name, data in files.items() if name.endswith(".gz")} == \
+        {name: data for name, data in _files(clean_out).items()
+         if "_s0_" in name or "_s0.25_" in name}
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["two-lanes", "one-lane"])
+def test_a_failed_baseline_cell_ends_a_sweep_with_a_shared_epoch(data_dir, tmp_path,
+                                                                 monkeypatch, cpus):
+    real = quantization.quantize_params
+
+    def fail_baseline(params, bits, mode):
+        if bits == 32 and _weight_sparsity(params) < 0.01:
+            raise RuntimeError("injected quantize crash")
+        return real(params, bits, mode)
+
+    monkeypatch.setattr(nncore, "_cpus", lambda: cpus)
+    monkeypatch.setattr(quantization, "quantize_params", fail_baseline)
+    with pytest.raises(RuntimeError, match="injected quantize crash"):
+        run_sweep(_shared_config(data_dir, tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_each_sweep_trains_its_shared_epoch_itself(data_dir, tmp_path, monkeypatch):
+    real, first_epochs = nncore._run_epochs, []
+
+    def counted(*args, epochs=None):
+        if epochs == range(1):
+            first_epochs.append(threading.current_thread().name)
+        return real(*args, epochs=epochs)
+
+    monkeypatch.setattr(nncore, "_run_epochs", counted)
+    _two_lanes_then_one(_shared_config(data_dir, ""), tmp_path, monkeypatch)  # two sweeps
+    assert len(first_epochs) == 2
+
+
 def test_training_split_is_split_train_val():
     """train gathers from the index arrays that split_train_val copies out."""
     data = synthetic_dataset(50, seed=8)
@@ -283,6 +389,8 @@ def test_one_blas_thread_gives_the_callers_count_back():
 def test_one_blas_thread_pins_nothing_when_it_cannot_tell_the_library(monkeypatch):
     lib, real_glob = _bundled_openblas(), glob.glob
     monkeypatch.setattr(glob, "glob", lambda pattern: real_glob(pattern) * 2)
+    # the lookup runs once per process: look again, as a process would where two match
+    monkeypatch.setattr(nncore, "_openblas", functools.cache(nncore._openblas.__wrapped__))
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
@@ -290,6 +398,39 @@ def test_one_blas_thread_pins_nothing_when_it_cannot_tell_the_library(monkeypatc
             assert lib.scipy_openblas_get_num_threads64_() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+LIBRARY_CALLS = """\
+import hashlib
+import numpy as np
+from compresslab import (TrainConfig, build_model, evaluate_accuracy, forward,
+                         nncore, prune_and_finetune, train)
+from compresslab.datasets import DatasetSplit
+rng = np.random.default_rng(7)
+data = DatasetSplit(rng.uniform(0, 1, (400, 28, 28, 1)).astype(np.float32),
+                    rng.integers(0, 10, 400))
+cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.1, val_split=0.2, seed=3)
+model = train(build_model("mnist-cnn", seed=3), data, cfg)
+pruned, _ = prune_and_finetune(model, data, cfg, 0.9)
+for out in (*model.params.values(), *pruned.params.values(), forward(pruned, data.images)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+print(repr(evaluate_accuracy(pruned, data)), nncore._openblas()[0]())
+"""
+
+
+@pytest.mark.skipif(_bundled_openblas() is None, reason="numpy does not bundle OpenBLAS here")
+def test_library_calls_at_two_blas_threads_give_the_one_thread_bits():
+    """train, prune_and_finetune, forward and evaluate_accuracy pin one thread
+    themselves, and give the caller's count back."""
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([os.path.abspath(SRC),
+                                               os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", LIBRARY_CALLS], env=env, check=True,
+                                   capture_output=True, text=True, timeout=600).stdout.split())
+    assert outs[0][-1] == "1" and outs[1][-1] == "2"
+    assert outs[0][:-1] == outs[1][:-1]
 
 
 def test_sweep_at_two_blas_threads_matches_frozen_hashes(tmp_path):
