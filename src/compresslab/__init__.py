@@ -11,7 +11,7 @@ from .metrics import (CompressionRecord, accuracy_delta, build_report_table,
 from .nncore import (ARCHITECTURES, LayerSpec, Model, ShapeMismatchError,
                      TrainConfig, TrainingDivergedError, build_model,
                      evaluate_accuracy, forward, infer_architecture,
-                     loss_and_grad, model_from_params, split_train_val, train)
+                     loss_and_grad, model_from_params, train)
 from .pruning import (PruneMask, SparsitySchedule, build_mask, magnitude_threshold,
                       prune_and_finetune, schedule_sparsity)
 from .quantization import (QuantParams, QuantizedTensor, compute_quant_params,
@@ -36,6 +36,5 @@ __all__ = [
     "model_from_params", "parse_config", "parse_model_bytes",
     "prune_and_finetune", "quality_metric", "quantize_params",
     "quantize_tensor", "records_from_csv", "records_to_csv", "reduction_factor",
-    "run_sweep", "save_artifact", "schedule_sparsity", "serialize_model",
-    "split_train_val", "train",
+    "run_sweep", "save_artifact", "schedule_sparsity", "serialize_model", "train",
 ]

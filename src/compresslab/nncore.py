@@ -25,19 +25,21 @@ conv -> relu -> maxpool, with relu on a quarter of the elements.  The two
 cut the tracemalloc peak of a cifar-smallnet training step at batch 128 from
 279 to 189 MB (mnist-cnn: 15.7 to 9.8 MB).
 
-The conv kernels, and nothing else, use one private helper thread when more
-than one CPU is usable and the GEMM has at least 2**26 multiply-adds (true of
-cifar-smallnet's convs at batch 128, not of mnist-cnn's).  In the forward
-pass it fills and multiplies the patch rows of the first N // 2 examples
-while the calling thread does the rest; in the backward pass it computes the
-weight gradient while the calling thread sums the bias gradient and runs the
-input-gradient taps.  A row split of a conv GEMM gives the same bits as the
-whole GEMM, and each part writes its own arrays, so the bits still depend
-only on the machine and the BLAS thread count, not on whether the helper
-runs.  Dense GEMMs are never split: their bits change with the number of
-rows.  The sweep runs its rows on two lanes only where the helper gets no
-work (``_helper_gets_work``); were two callers to share it, each would join
-its own job.
+The conv and maxpool kernels, and nothing else, use one private helper
+thread when more than one CPU is usable and fewer than two sweep lanes are
+taking rows (``_lanes``, kept by ``sweep._on_two_lanes``): so in ``train``,
+``prune_and_finetune`` and ``evaluate_accuracy`` outside a sweep, in a
+sweep's baseline training and in its one-lane phases, never while two lanes
+run.  In the forward pass the helper fills and multiplies the patch rows, or
+pools the windows, of the first N // 2 examples while the calling thread
+does the rest; in the backward pass it computes the conv weight gradient
+while the calling thread sums the bias gradient and runs the input-gradient
+taps, and routes the first N // 2 examples' pool gradient.  A row split of a
+conv GEMM gives the same bits as the whole GEMM, maxpool works per example,
+and each part writes its own rows of arrays the calling thread allocated,
+so the bits still depend only on the machine and the BLAS thread count, not
+on whether the helper runs.  Dense GEMMs are never split: their bits change
+with the number of rows.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def derive_seed(seed: int, *stream: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the conv kernels' helper thread
+# the conv and maxpool kernels' helper thread
 
 def _new_helper() -> None:
     """(Re)make the helper; its thread starts on the first submit, not here."""
@@ -99,46 +101,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_helper)  # a forked child inherits no thread
 
 
-# A conv GEMM of fewer multiply-adds runs on the calling thread alone.
-# mnist-cnn's (9.3M at batch 128) ran no faster with the helper, and on a
-# busy machine waiting for it stretched some sweep rounds from 5 to 8-9 s;
-# cifar-smallnet's first conv has 340M at batch 128.
-_MIN_HELPER_MACS = 1 << 26
+# sweep lanes now taking rows; the helper runs kernel parts only while fewer
+# than two are, so the second CPU has one owner
+_lanes = 0
+_lanes_lock = threading.Lock()
 
 
 def _cpus() -> int:
     return len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0))
 
 
-def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None],
-                 macs: int) -> None:
+def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None]) -> None:
     """Run ``helper_part()`` on the helper thread and ``own_part()`` on this one.
 
     Returns when both have finished, also when either raises.  With one
-    usable CPU, or for a GEMM of fewer than ``_MIN_HELPER_MACS`` multiply-adds,
-    both run here, in that order.  The parts write disjoint arrays that the
-    caller allocated, so the bits do not depend on where they ran.  The helper
-    part allocates no array (a second malloc arena costs resident memory) and
-    calls no public function of the package.
+    usable CPU, or while two sweep lanes run, both run here, in that order.
+    The parts write disjoint arrays, or disjoint rows of one, that the caller
+    allocated, so the bits do not depend on where they ran.  The helper part
+    creates no array, since a second malloc arena costs resident memory: it
+    writes with ``out=`` and runs no ufunc that casts.  All it takes is
+    numpy's iteration buffers, 8192 elements per strided operand, freed
+    before it returns.  It calls no public function of the package.
     """
-    if macs < _MIN_HELPER_MACS or _cpus() < 2:
+    cpus = _cpus()
+    with _lanes_lock:  # so no part is handed over once a second lane has counted itself
+        job = _helper.submit(helper_part) if cpus > 1 and _lanes < 2 else None
+    if job is None:
         helper_part()
         own_part()
         return
-    job = _helper.submit(helper_part)
     try:
         own_part()
     finally:
         job.result()
-
-
-def _helper_gets_work(model: "Model", batch: int) -> bool:
-    """Whether, with two CPUs, a conv GEMM of ``model`` at ``batch`` (or an
-    evaluation batch of) examples would go to the helper."""
-    n, outs = max(batch, _EVAL_BATCH), infer_shapes(model.layers, model.input_shape)
-    return any(
-        n * out[0] * out[1] * model.params[f"{i}.weight"].size >= _MIN_HELPER_MACS
-        for i, (spec, out) in enumerate(zip(model.layers, outs)) if spec.kind == "conv2d")
 
 
 # thread id -> an event another thread sets to end that thread's work early
@@ -235,7 +230,7 @@ def _conv2d_forward(spec, x, keep, w, b):
         y_rows = y[r].reshape(hi - lo, oh * ow * f)
         np.add(y_rows, bias_row, out=y_rows)
 
-    _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n), flat.size * f)
+    _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n))
     return y.reshape(n, oh, ow, f), (flat, x.shape)
 
 
@@ -260,7 +255,7 @@ def _conv2d_backward(spec, dy, cache, need_dx, w, b):
                 for j in range(w.shape[1]):
                     dx[:, i:i + oh, j:j + ow, :] += (dy2 @ w[i, j].T).reshape(n, oh, ow, c)
 
-    _in_parallel(lambda: np.matmul(cols.T, dy2, out=dw), bias_and_input_grads, cols.size * f)
+    _in_parallel(lambda: np.matmul(cols.T, dy2, out=dw), bias_and_input_grads)
     if need_dx and pad:
         dx = dx[:, pad:-pad, pad:-pad, :]
     return dx, (dw.reshape(w.shape), db)
@@ -280,20 +275,33 @@ def _windows(x):
 
 
 def _maxpool_forward(spec, x, keep):
+    """Each window's max, split by example rows as ``_conv2d_forward`` is."""
     # np.maximum returns its second operand on a tie, so nesting the earlier
     # corners second makes the first of equal corners (-0.0 vs 0.0 too) win
-    win = _windows(x)
-    a, b, c, d = corners = [win[:, :, r, :, s] for r in (0, 1) for s in (0, 1)]
-    y = np.maximum(d, np.maximum(c, np.maximum(b, a)))
-    if not keep:
-        return y, None
+    corners = [_windows(x)[:, :, r, :, s] for r in (0, 1) for s in (0, 1)]
+    y = np.empty(corners[0].shape, dtype=x.dtype)
     # the cache: per output, the index of the first corner equal to y, or 4
     # when none is (a NaN window), so no copy of x outlives the layer
-    miss = a != y
-    first = miss.astype(np.uint8)
-    for corner in corners[1:]:
-        miss &= corner != y
-        first += miss
+    first, miss, differs = ((np.empty(y.shape, t) for t in (np.uint8, bool, bool)) if keep
+                            else (None, None, None))
+
+    def rows(lo, hi):
+        a, b, c, d = (corner[lo:hi] for corner in corners)
+        out = y[lo:hi]
+        np.maximum(b, a, out=out)
+        np.maximum(c, out, out=out)
+        np.maximum(d, out, out=out)
+        if keep:  # bools added as their uint8 view: a cast would need a buffer
+            m, f, ne = miss[lo:hi], first[lo:hi], differs[lo:hi]
+            np.not_equal(a, out, out=m)
+            np.copyto(f, m.view(np.uint8))
+            for corner in (b, c, d):
+                np.not_equal(corner, out, out=ne)
+                m &= ne
+                np.add(f, m.view(np.uint8), out=f)
+
+    n = x.shape[0]
+    _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n))
     return y, first
 
 
@@ -303,8 +311,16 @@ def _maxpool_backward(spec, dy, first, need_dx):
     # dy's bits times 0 or 1 give dy exactly at the winner (-0.0 and inf
     # too) and +0.0 elsewhere, without np.where's per-element branch
     bits = np.dtype(f"u{dy.itemsize}")
-    hit = first[:, :, None, :, None, :] == corner_ids
-    dx = dy.view(bits)[:, :, None, :, None, :] * hit
+    dy_bits, first = dy.view(bits)[:, :, None, :, None, :], first[:, :, None, :, None, :]
+    dx = np.empty((n, oh, 2, ow, 2, c), dtype=bits)
+    hit = np.empty(dx.shape, dtype=bool)
+
+    def rows(lo, hi):
+        np.equal(first[lo:hi], corner_ids, out=hit[lo:hi])
+        np.copyto(dx[lo:hi], hit[lo:hi])  # copyto casts without a buffer, a ufunc would not
+        np.multiply(dx[lo:hi], dy_bits[lo:hi], out=dx[lo:hi])
+
+    _in_parallel(lambda: rows(0, n // 2), lambda: rows(n // 2, n))
     return dx.view(dy.dtype).reshape(n, 2 * oh, 2 * ow, c), ()
 
 
@@ -596,21 +612,18 @@ class TrainConfig:
         if self.batch_size > num_examples:
             raise ValueError(
                 f"batch_size must be in (0, {num_examples}], got {self.batch_size}")
-        if round(self.val_split * num_examples) >= num_examples:  # split_train_val's count
+        if round(self.val_split * num_examples) >= num_examples:  # _split_indices' count
             raise ValueError(f"val_split {self.val_split} holds out all {num_examples} examples")
 
 
 def _split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one seeded split: disjoint, exhaustive (train, held-out) index
+    arrays into ``range(n)``, with round(fraction * n) held out."""
     if not 0 <= fraction < 1:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
     n_val = int(round(fraction * n))
     perm = np.random.default_rng(np.random.SeedSequence([mask_seed(seed)])).permutation(n)
     return perm[n_val:], perm[:n_val]
-
-
-def split_train_val(data: DatasetSplit, fraction: float, seed: int):
-    """Disjoint, exhaustive (train, val) split; |val| = round(fraction * N)."""
-    return tuple(data.subset(idx) for idx in _split_indices(len(data), fraction, seed))
 
 
 def epoch_learning_rate(base_lr: float, epoch: int) -> float:

@@ -2,10 +2,17 @@
 sparsity x precision grid, writing one artifact per cell plus a results CSV.
 The baseline row runs first; the others, each a fine-tune of it, run on two
 lanes, this thread and one worker, in grid order: on one lane when one CPU
-is usable or a conv GEMM would give the other CPU to nncore's helper.  Rows
-whose fine-tunes ramp from the same sparsity (every target of 0.5 or more)
-train the same first epoch; each sweep trains it once, on one lane while the
-other stores the baseline row, and those rows go on from it.
+is usable or two training steps at once would hold too much memory
+(``_too_big_for_two_lanes``).  Rows whose fine-tunes ramp from the same
+sparsity (every target of 0.5 or more) train the same first epoch; each
+sweep trains it once, on one lane while the other stores the baseline row,
+and those rows go on from it.
+
+The second CPU has one owner at a time.  While two lanes take rows, each
+runs its kernels whole; while fewer do (the baseline's training, a phase on
+one lane, the last row once the other lane has run out), nncore's helper
+thread takes half of each conv and maxpool.  The lanes count themselves in
+``nncore._lanes``, so a lane that ends hands its CPU to the helper at once.
 
 Config files are flat ``key = value`` text; see parse_config.
 """
@@ -146,12 +153,17 @@ def _on_two_lanes(fn, items: list) -> list:
         with lock:
             return None if raised else next(todo, None)
 
-    def lane():
+    def lane():  # counted while it takes items, so the helper stays off the second CPU
+        with nncore._lanes_lock:
+            nncore._lanes += 1
         try:
             for i, x in iter(take, None):
                 results[i] = fn(x)
         except BaseException as e:
             raised.append(e)
+        finally:
+            with nncore._lanes_lock:
+                nncore._lanes -= 1
 
     def work():
         nncore._stop[threading.get_ident()] = stop
@@ -177,6 +189,23 @@ def _on_two_lanes(fn, items: list) -> list:
     if raised:
         raise raised[0]
     return [results[i] for i in range(len(items))]
+
+
+# Two training steps at once of a model with a conv GEMM this large held too
+# much memory: a cifar-smallnet sweep (340M multiply-adds in its first conv
+# at batch 128) peaked at 458-470 MB RSS on two lanes, 265-269 MB on one.
+# mnist-cnn's conv has 9.3M at batch 128.
+_TWO_LANES_MAX_MACS = 1 << 26
+
+
+def _too_big_for_two_lanes(model: nncore.Model, batch: int) -> bool:
+    """Whether a conv GEMM of ``model`` at ``batch`` examples (or at an
+    evaluation batch) reaches ``_TWO_LANES_MAX_MACS``: then rows run on one lane."""
+    n = max(batch, nncore._EVAL_BATCH)
+    outs = nncore.infer_shapes(model.layers, model.input_shape)
+    return any(
+        n * out[0] * out[1] * model.params[f"{i}.weight"].size >= _TWO_LANES_MAX_MACS
+        for i, (spec, out) in enumerate(zip(model.layers, outs)) if spec.kind == "conv2d")
 
 
 def _sharing_first_epoch(cfg: SweepConfig) -> list[tuple]:
@@ -251,8 +280,7 @@ def run_sweep(cfg: SweepConfig):
             return dict.fromkeys(cfg.precision_grid, f"{type(e).__name__}: {e}")
         return _row(cfg, model, s, test_data)
 
-    # two lanes where a second CPU is usable and no conv GEMM gives it to the helper
-    two = nncore._cpus() > 1 and not nncore._helper_gets_work(baseline, cfg.batch_size)
+    two = nncore._cpus() > 1 and not _too_big_for_two_lanes(baseline, cfg.batch_size)
     lanes = _on_two_lanes if two else map
     row0, *firsts = lanes(lambda job: job(), [partial(_row, cfg, baseline, 0.0, test_data),
                                               *(partial(first_epoch, g) for g in groups)])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,7 @@ from compresslab import nncore
 from compresslab.nncore import (LayerSpec, Model, ShapeMismatchError, TrainConfig,
                                 TrainingDivergedError, build_model, derive_seed,
                                 epoch_learning_rate, evaluate_accuracy, forward,
-                                infer_architecture, loss_and_grad, model_from_params,
-                                split_train_val, train)
+                                infer_architecture, loss_and_grad, model_from_params, train)
 from compresslab.pruning import prune_and_finetune
 from conftest import synthetic_cifar_dataset, synthetic_dataset
 
@@ -143,22 +143,23 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the conv kernels' helper thread: the same bits with it and without it
+# the kernels' helper thread: the same bits with it and without it
 
 BATCH_SIZES = [1, 2, 3, 64, 127, 128]
 MULTI_CPU = len(os.sched_getaffinity(0)) > 1 if hasattr(os, "sched_getaffinity") else False
 
 
 def _one_cpu(monkeypatch):
-    """Send the conv kernels down their one-CPU branch, with no helper to use."""
+    """Send the conv and maxpool kernels down their one-CPU branch, with no helper to use."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(nncore, "_helper", None)
 
 
 @pytest.fixture
 def split_every_conv(monkeypatch):
-    """Hand every conv GEMM to the helper, however small (mnist-cnn's too)."""
-    monkeypatch.setattr(nncore, "_MIN_HELPER_MACS", 0)
+    """No sweep lane runs, so with two CPUs every conv and maxpool, however
+    small (mnist-cnn's too), goes half to the helper."""
+    monkeypatch.setattr(nncore, "_lanes", 0)
 
 
 def _grads_and_probs(model, data, n):
@@ -213,6 +214,7 @@ def test_concurrent_callers_share_the_helper_and_keep_their_bits(split_every_con
 @pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
 def test_small_conv_gemms_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(nncore, "_helper", None)  # any use of the helper would raise
+    monkeypatch.setattr(nncore, "_lanes", 2)  # while two sweep lanes run, the kernels stay whole
     model, data = build_model("mnist-cnn", seed=1), synthetic_dataset(128, seed=1)
     loss_and_grad(model, data.images, data.labels)
     evaluate_accuracy(model, data)
@@ -273,6 +275,107 @@ def test_one_channel_conv_keeps_the_cell_major_bits(split, monkeypatch, request)
         _assert_same_bits(db, dy.sum(axis=(0, 1, 2)))
 
 
+def _pool_inputs(arch):
+    """The input shape of each of ``arch``'s maxpool layers."""
+    layers, input_shape = nncore.ARCHITECTURES[arch][1], nncore.ARCHITECTURES[arch][0]
+    shapes = [input_shape, *nncore.infer_shapes(layers, input_shape)]
+    return [shapes[i] for i, spec in enumerate(layers) if spec.kind == "maxpool2x2"]
+
+
+def _whole_maxpool(x, dy):
+    """The unsplit formula: y, the winner index and dx, each from whole-array ops."""
+    win = x.reshape(x.shape[0], x.shape[1] // 2, 2, x.shape[2] // 2, 2, x.shape[3])
+    a, b, c, d = corners = [win[:, :, r, :, s] for r in (0, 1) for s in (0, 1)]
+    y = np.maximum(d, np.maximum(c, np.maximum(b, a)))
+    miss = a != y
+    first = miss.astype(np.uint8)
+    for corner in corners[1:]:
+        miss &= corner != y
+        first += miss
+    hit = first[:, :, None, :, None, :] == np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+    dx = dy.view(np.uint32)[:, :, None, :, None, :] * hit
+    return y, first, dx.view(np.float32).reshape(x.shape)
+
+
+def _awkward_pool_input(rng, shape):
+    """float32 windows with ties (small integers, -0.0 against 0.0), inf and NaN."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    u = rng.random(shape)
+    x[u < 0.2] = np.round(x[u < 0.2])
+    zeros = (u >= 0.2) & (u < 0.4)
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    x[u > 0.99] = np.inf
+    x[(u > 0.98) & (u <= 0.99)] = -np.inf
+    x[(u > 0.97) & (u <= 0.98)] = np.nan
+    x[0, 0:2, 0:4, 0] = [[-0.0, 0.0, 0.0, -0.0], [-1.0, -1.0, -1.0, -1.0]]  # signed-zero ties
+    x[0, 2:4, 0:4, 0] = [[1.0, np.nan, np.inf, 2.0], [2.0, 3.0, np.inf, np.inf]]
+    return x
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
+@pytest.mark.parametrize("arch", ["mnist-cnn", "cifar-smallnet"])
+def test_split_maxpool_keeps_the_inline_bits(arch, monkeypatch, split_every_conv):
+    """Pooling half the examples on the helper gives y, the uint8 winner index
+    and dx of the one-CPU path and of the whole-array formula, bit for bit."""
+    rng, submits, real_submit = np.random.default_rng(12), [], nncore._helper.submit
+    monkeypatch.setattr(nncore._helper, "submit", lambda fn: submits.append(fn) or real_submit(fn))
+    for shape in _pool_inputs(arch):
+        x = _awkward_pool_input(rng, (max(BATCH_SIZES), *shape))
+        dy = _awkward_pool_input(rng, (max(BATCH_SIZES), shape[0] // 2, shape[1] // 2, shape[2]))
+        for n in BATCH_SIZES:
+            del submits[:]
+            y, first = nncore._maxpool_forward(POOL, x[:n], True)
+            dx, _ = nncore._maxpool_backward(POOL, dy[:n], first, True)
+            assert len(submits) == 2  # forward and backward each gave the helper its half
+            with monkeypatch.context() as m:
+                _one_cpu(m)
+                y1, first1 = nncore._maxpool_forward(POOL, x[:n], True)
+                dx1, _ = nncore._maxpool_backward(POOL, dy[:n], first1, True)
+            y0, first0, dx0 = _whole_maxpool(x[:n], dy[:n])
+            assert first.dtype == np.uint8
+            for got in (y, y1):
+                _assert_same_bits(got, y0)
+            for got in (first, first1):
+                np.testing.assert_array_equal(got, first0)
+            for got in (dx, dx1):
+                _assert_same_bits(got, dx0)
+            assert (first0 == 4).any() and np.isinf(y0).any()  # NaN and inf windows were met
+
+
+def _helper_part_peaks(model, data):
+    """The traced memory peak of each helper part of a training step and a
+    forward pass, each run again on this thread."""
+    peaks, real = [], nncore._in_parallel
+
+    def traced(helper_part, own_part):
+        real(helper_part, own_part)
+        tracemalloc.start()
+        try:
+            helper_part()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nncore, "_in_parallel", traced)
+        loss_and_grad(model, data.images, data.labels)
+        forward(model, data.images)
+    return peaks
+
+
+@pytest.mark.parametrize("arch, dataset, n", [("mnist-cnn", synthetic_dataset, 256),
+                                              ("cifar-smallnet", synthetic_cifar_dataset, 128)],
+                         ids=["mnist-cnn", "cifar-smallnet"])
+def test_helper_parts_create_no_array(arch, dataset, n):
+    """A helper part writes only the caller's arrays: what it takes is numpy's
+    iteration buffers (8192 elements per strided operand), far under the
+    smallest array it could make at this batch size."""
+    peaks = _helper_part_peaks(build_model(arch, seed=2), dataset(n, seed=2))
+    kernels = sum(spec.kind in ("conv2d", "maxpool2x2") for spec in nncore.ARCHITECTURES[arch][1])
+    assert len(peaks) == 3 * kernels  # two forward passes and one backward pass
+    assert max(peaks) < 128 * 1024
+
+
 def test_in_parallel_joins_the_helper_when_a_part_raises():
     finished = threading.Event()
 
@@ -284,19 +387,19 @@ def test_in_parallel_joins_the_helper_when_a_part_raises():
         raise KeyError("own part")
 
     with pytest.raises(KeyError, match="own part"):
-        nncore._in_parallel(slow_helper_part, failing_own_part, nncore._MIN_HELPER_MACS)
+        nncore._in_parallel(slow_helper_part, failing_own_part)
     assert finished.is_set()
     with pytest.raises(ZeroDivisionError):
-        nncore._in_parallel(lambda: 1 / 0, lambda: None, nncore._MIN_HELPER_MACS)
+        nncore._in_parallel(lambda: 1 / 0, lambda: None)
 
 
 FORK_CHILD = """\
-import os, numpy as np
+import os, threading, numpy as np
 from compresslab import nncore
 from compresslab.nncore import build_model, forward
-nncore._MIN_HELPER_MACS = 0
 model, x = build_model("mnist-cnn", seed=1), np.zeros((4, 28, 28, 1), np.float32)
-before = forward(model, x)  # starts the helper thread in this process
+before = forward(model, x)  # starts the helper thread in this process: no sweep lane runs
+assert any(t.name.startswith("nncore-helper") for t in threading.enumerate())
 pid = os.fork()
 if pid == 0:
     os._exit(0 if np.array_equal(forward(model, x), before) else 1)
@@ -471,9 +574,14 @@ def test_gradient_nonzero_everywhere_it_should_be():
 # ---------------------------------------------------------------------------
 # training loop behaviour
 
+def _split(data, fraction, seed):
+    """The (train, held-out) subsets training gathers by ``_split_indices``."""
+    return tuple(data.subset(idx) for idx in nncore._split_indices(len(data), fraction, seed))
+
+
 def test_split_sizes_and_partition():
     data = synthetic_dataset(100, seed=1)
-    tr, val = split_train_val(data, 0.3, seed=5)
+    tr, val = _split(data, 0.3, seed=5)
     assert len(val) == 30 and len(tr) == 70
     joined = np.concatenate([tr.labels, val.labels])
     assert joined.shape == (100,)
@@ -485,21 +593,21 @@ def test_split_sizes_and_partition():
 
 def test_split_is_seeded_and_validates():
     data = synthetic_dataset(50, seed=2)
-    a1, b1 = split_train_val(data, 0.2, seed=9)
-    a2, b2 = split_train_val(data, 0.2, seed=9)
+    a1, b1 = _split(data, 0.2, seed=9)
+    a2, b2 = _split(data, 0.2, seed=9)
     np.testing.assert_array_equal(a1.labels, a2.labels)
     np.testing.assert_array_equal(b1.images, b2.images)
-    a3, _ = split_train_val(data, 0.2, seed=10)
+    a3, _ = _split(data, 0.2, seed=10)
     assert not np.array_equal(a1.labels, a3.labels)
-    _, empty = split_train_val(data, 0.0, seed=0)
+    _, empty = _split(data, 0.0, seed=0)
     assert len(empty) == 0
     with pytest.raises(ValueError):
-        split_train_val(data, 1.0, seed=0)
+        nncore._split_indices(len(data), 1.0, seed=0)
 
 
 def test_round_half_applied_to_val_count():
     data = synthetic_dataset(15, seed=0)
-    _, val = split_train_val(data, 0.3, seed=0)
+    _, val = _split(data, 0.3, seed=0)
     assert len(val) == round(0.3 * 15)
 
 

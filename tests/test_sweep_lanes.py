@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from compresslab import datasets, nncore, pruning, quantization, sizing, sweep
-from compresslab.nncore import TrainConfig, build_model, split_train_val
+from compresslab.nncore import TrainConfig, build_model
 from compresslab.sweep import SweepConfig, run_sweep
 from conftest import synthetic_dataset, write_idx_files
 from test_sweep_golden import CONFIG, GOLDEN_SHA256, SRC
@@ -52,6 +52,13 @@ def _files(directory):
     return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
 
 
+def _threads():
+    """The live threads, once nncore's helper has started: it lives for the
+    rest of the process by design, and any one-lane phase may start it."""
+    nncore._helper.submit(int).result()
+    return set(threading.enumerate())
+
+
 def _sweep_with_two_failures(monkeypatch, cfg):
     """Run the sweep with the 0.75 row's fine-tune failing and cell (0.9, 16)'s
     quantize failing.  Both are picked by value, never by call count, since
@@ -73,7 +80,7 @@ def _sweep_with_two_failures(monkeypatch, cfg):
     with monkeypatch.context() as m:
         m.setattr(pruning, "prune_and_finetune", prune_or_fail)
         m.setattr(quantization, "quantize_params", quantize_or_fail)
-        before = set(threading.enumerate())
+        before = _threads()
         records, failures = run_sweep(cfg)
         assert set(threading.enumerate()) == before  # the lane's worker is gone
     return lanes, records, failures
@@ -102,6 +109,44 @@ def test_two_lanes_and_one_lane_write_the_same_bytes(data_dir, tmp_path, monkeyp
                      if (s, bits) != (0.9, 16)]
 
 
+def test_the_helper_runs_only_while_fewer_than_two_lanes_do(monkeypatch):
+    """Each lane counts itself until its loop ends, also on an error or an
+    interrupt, and no kernel part goes to the helper while two are counted."""
+    monkeypatch.setattr(nncore, "_cpus", lambda: 2)
+    submits, real_submit = [], nncore._helper.submit
+    short_started, short_done = threading.Event(), threading.Event()
+    # (lanes counted, whether the short job had ended) at each hand-over
+    monkeypatch.setattr(nncore._helper, "submit", lambda fn: submits.append(
+        (nncore._lanes, short_done.is_set())) or real_submit(fn))
+    model, data = build_model("mnist-cnn", seed=2), synthetic_dataset(8, seed=3)
+
+    def job(kind):
+        if kind == "short":
+            short_started.set()
+            nncore.loss_and_grad(model, data.images, data.labels)
+            short_done.set()
+            return
+        assert short_started.wait(60)
+        nncore.loss_and_grad(model, data.images, data.labels)  # beside the short job
+        assert short_done.wait(60)
+        deadline = time.monotonic() + 10
+        while nncore._lanes > 1 and time.monotonic() < deadline:  # its lane's loop ends
+            time.sleep(0.001)
+        nncore.loss_and_grad(model, data.images, data.labels)
+
+    assert nncore._lanes == 0
+    sweep._on_two_lanes(job, ["long", "short"])  # taken in order: "long" is counted first
+    assert submits and all(lanes == 1 and done for lanes, done in submits)
+    assert nncore._lanes == 0
+    for error in (ValueError, KeyboardInterrupt):
+        def fail(x, error=error):
+            if x == 1:
+                raise error
+        with pytest.raises(error):
+            sweep._on_two_lanes(fail, [0, 1, 2, 3])
+        assert nncore._lanes == 0
+
+
 def test_lanes_take_each_item_once_in_order_under_frequent_switches():
     taken, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -127,7 +172,7 @@ def test_an_interrupted_row_stops_both_lanes(data_dir, tmp_path, monkeypatch, cp
 
     monkeypatch.setattr(pruning, "prune_and_finetune", interrupt_first_row)
     out = tmp_path / "out"
-    before = set(threading.enumerate())
+    before = _threads()
     with pytest.raises(KeyboardInterrupt):
         run_sweep(_config(data_dir, out))
     assert set(threading.enumerate()) == before
@@ -161,7 +206,7 @@ def test_an_interrupt_in_this_lanes_row_ends_the_workers_row_at_once(monkeypatch
         assert in_row.wait(60)
         raise KeyboardInterrupt
 
-    before, start = set(threading.enumerate()), time.monotonic()
+    before, start = _threads(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         sweep._on_two_lanes(_slow_row_in_the_worker(in_row, finished, interrupted), [0, 1])
     assert time.monotonic() - start < 30 and not finished
@@ -177,7 +222,7 @@ def test_an_interrupt_while_joining_ends_the_workers_row_at_once(monkeypatch):
         time.sleep(0.2)
         signal.pthread_kill(main, signal.SIGINT)
 
-    before, start = set(threading.enumerate()), time.monotonic()
+    before, start = _threads(), time.monotonic()
     sender = threading.Thread(target=ctrl_c)
     with pytest.raises(KeyboardInterrupt):
         sender.start()
@@ -227,11 +272,11 @@ def test_a_row_asked_to_stop_stores_no_more_cells(data_dir, tmp_path):
 
 def test_one_lane_where_a_conv_gemm_gives_the_helper_work(data_dir, tmp_path, monkeypatch):
     # mnist-cnn's conv has 26 * 26 * 108 multiply-adds per example: 2**26 at 920
-    assert [nncore._helper_gets_work(build_model("mnist-cnn"), n) for n in (128, 919, 920)] == \
-        [False, False, True]
-    assert nncore._helper_gets_work(build_model("cifar-smallnet"), 1)  # evaluation's batch
+    assert [sweep._too_big_for_two_lanes(build_model("mnist-cnn"), n)
+            for n in (128, 919, 920)] == [False, False, True]
+    assert sweep._too_big_for_two_lanes(build_model("cifar-smallnet"), 1)  # evaluation's batch
     monkeypatch.setattr(nncore, "_cpus", lambda: 2)
-    monkeypatch.setattr(nncore, "_helper_gets_work", lambda model, batch: True)
+    monkeypatch.setattr(sweep, "_too_big_for_two_lanes", lambda model, batch: True)
     lanes, _, failures = _sweep_with_two_failures(monkeypatch, _config(data_dir, tmp_path))
     assert lanes == {"MainThread"} and len(failures) == 4
 
@@ -351,11 +396,12 @@ def test_each_sweep_trains_its_shared_epoch_itself(data_dir, tmp_path, monkeypat
     assert len(first_epochs) == 2
 
 
-def test_training_split_is_split_train_val():
-    """train gathers from the index arrays that split_train_val copies out."""
+def test_training_split_subsets_are_its_index_arrays():
+    """train gathers from the index arrays of the one seeded split; a subset
+    of them holds those examples."""
     data = synthetic_dataset(50, seed=8)
     train_idx, val_idx = nncore._split_indices(len(data), 0.3, seed=4)
-    tr, val = split_train_val(data, 0.3, seed=4)
+    tr, val = data.subset(train_idx), data.subset(val_idx)
     assert len(val_idx) == 15 and sorted([*train_idx, *val_idx]) == list(range(50))
     np.testing.assert_array_equal(tr.images, data.images[train_idx])
     np.testing.assert_array_equal(val.labels, data.labels[val_idx])
