@@ -186,7 +186,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-@nncore._one_blas_thread()  # so `train` then `prune` give a sweep row's bits
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -21,13 +21,11 @@ included) goes to the first corner in row-major order, in the output and in
 the gradient, which it routes by a one-byte winner index per output kept
 instead of its input.  Every conv block runs conv -> maxpool -> relu: relu
 commutes with a max, so the outputs and parameter gradients are those of
-conv -> relu -> maxpool, with relu on a quarter of the elements.  The two
-cut the tracemalloc peak of a cifar-smallnet training step at batch 128 from
-279 to 189 MB (mnist-cnn: 15.7 to 9.8 MB).
+conv -> relu -> maxpool, with relu on a quarter of the elements.
 
 The conv and maxpool kernels, and nothing else, use one private helper
 thread when more than one CPU is usable and fewer than two sweep lanes are
-taking rows (``_lanes``, kept by ``sweep._on_two_lanes``): so in ``train``,
+taking rows (the table ``_lanes``, below): so in ``train``,
 ``prune_and_finetune`` and ``evaluate_accuracy`` outside a sweep, in a
 sweep's baseline training and in its one-lane phases, never while two lanes
 run.  In the forward pass the helper fills and multiplies the patch rows, or
@@ -40,6 +38,12 @@ and each part writes its own rows of arrays the calling thread allocated,
 so the bits still depend only on the machine and the BLAS thread count, not
 on whether the helper runs.  Dense GEMMs are never split: their bits change
 with the number of rows.
+
+The sweep's lanes (``_on_two_lanes``) keep one table, ``_lanes``: each lane
+thread's id maps to its run's error list while that lane takes items.  The
+helper takes a kernel part only while the table holds fewer than two lanes,
+so the second CPU has one owner; and a lane whose run has an error stops at
+its next training batch or cell (``_check_stop``).
 """
 
 from __future__ import annotations
@@ -101,9 +105,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_helper)  # a forked child inherits no thread
 
 
-# sweep lanes now taking rows; the helper runs kernel parts only while fewer
-# than two are, so the second CPU has one owner
-_lanes = 0
+# thread id of each sweep lane now taking items -> its run's error list
+_lanes: dict[int, list] = {}
 _lanes_lock = threading.Lock()
 
 
@@ -124,8 +127,8 @@ def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None]) 
     before it returns.  It calls no public function of the package.
     """
     cpus = _cpus()
-    with _lanes_lock:  # so no part is handed over once a second lane has counted itself
-        job = _helper.submit(helper_part) if cpus > 1 and _lanes < 2 else None
+    with _lanes_lock:  # so no part is handed over once a second lane has listed itself
+        job = _helper.submit(helper_part) if cpus > 1 and len(_lanes) < 2 else None
     if job is None:
         helper_part()
         own_part()
@@ -136,14 +139,54 @@ def _in_parallel(helper_part: Callable[[], None], own_part: Callable[[], None]) 
         job.result()
 
 
-# thread id -> an event another thread sets to end that thread's work early
-_stop: dict[int, threading.Event] = {}
-
-
 def _check_stop() -> None:
-    """Raise KeyboardInterrupt if this thread has been asked to stop."""
-    if threading.get_ident() in _stop and _stop[threading.get_ident()].is_set():
+    """Raise KeyboardInterrupt if this thread is a sweep lane whose run has an error."""
+    if _lanes.get(threading.get_ident()):
         raise KeyboardInterrupt
+
+
+def _on_two_lanes(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, taken in order by this thread and a worker.
+
+    An exception escaping ``fn`` stops both from taking more and is raised once
+    the worker has ended; it also ends the other lane's item, at its next
+    training batch or cell, since each lane is listed in ``_lanes`` with the
+    run's error list.  An interrupt while this thread waits for the worker
+    does the same, and a further interrupt does not wait for it."""
+    results, todo, lock, raised = {}, iter(enumerate(items)), threading.Lock(), []
+    ended = threading.Event()  # set as the worker's lane ends; not join: an interrupt can spoil it
+
+    def take():
+        with lock:
+            return None if raised else next(todo, None)
+
+    def lane(done: threading.Event):
+        with _lanes_lock:
+            _lanes[threading.get_ident()] = raised
+        try:
+            for i, x in iter(take, None):
+                results[i] = fn(x)
+        except BaseException as e:
+            raised.append(e)
+        finally:
+            with _lanes_lock:
+                del _lanes[threading.get_ident()]
+            done.set()
+
+    worker = threading.Thread(target=lane, args=(ended,), name="compresslab-sweep-lane")
+    worker.start()
+    lane(threading.Event())
+    while not ended.is_set():
+        try:
+            ended.wait()
+        except BaseException as e:  # an interrupt while waiting; a later one does not wait
+            if raised:
+                raise
+            raised.append(e)
+    worker.join()  # only the end of its thread is left
+    if raised:
+        raise raised[0]
+    return [results[i] for i in range(len(items))]
 
 
 @functools.cache
@@ -195,10 +238,7 @@ def _windows_of(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     """(N,H,W,C) -> read-only (N, OH, OW, k, k, C) view of every k x k window."""
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    n, h, w, c = x.shape
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, h - k + 1, w - k + 1, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False)
+    return np.lib.stride_tricks.sliding_window_view(x, (k, k), (1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
 def _conv2d_forward(spec, x, keep, w, b):
@@ -618,9 +658,8 @@ class TrainConfig:
 
 def _split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The one seeded split: disjoint, exhaustive (train, held-out) index
-    arrays into ``range(n)``, with round(fraction * n) held out."""
-    if not 0 <= fraction < 1:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    arrays into ``range(n)``, with round(fraction * n) held out; ``fraction``
+    lies in [0, 1), as ``TrainConfig`` checks ``val_split``."""
     n_val = int(round(fraction * n))
     perm = np.random.default_rng(np.random.SeedSequence([mask_seed(seed)])).permutation(n)
     return perm[n_val:], perm[:n_val]

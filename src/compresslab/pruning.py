@@ -99,11 +99,14 @@ def build_mask(params: dict[str, np.ndarray], sparsity: float) -> PruneMask:
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 
-def _ramp(target_sparsity: float, epochs: int) -> SparsitySchedule:
-    """A fine-tune's cubic ramp: from min(0.5, target) to the target over
-    epochs - 1 steps (an epoch each).  A one-epoch fine-tune has none: it
-    trains at the target."""
-    return SparsitySchedule(min(0.5, target_sparsity), target_sparsity, epochs - 1)
+def _epoch_sparsity(target: float, epoch: int, epochs: int) -> float:
+    """The sparsity epoch ``epoch`` of an ``epochs``-epoch fine-tune to
+    ``target`` trains at: the cubic ramp from min(0.5, target) to the target
+    over epochs - 1 steps (an epoch each).  A one-epoch fine-tune has no ramp:
+    it trains at the target."""
+    if epochs == 1:
+        return target
+    return schedule_sparsity(SparsitySchedule(min(0.5, target), target, epochs - 1), epoch)
 
 
 @nncore._one_blas_thread()
@@ -125,16 +128,14 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
     must be the model after epochs 0..k-1 of a fine-tune with the same data
     and config; the result is then that whole fine-tune's, bit for bit.  For
     k = 1 the earlier fine-tune's target may be any whose ramp starts at the
-    same sparsity (``schedule_sparsity(_ramp(target, cfg.epochs), 0)``): the
-    first epoch trains at the ramp's start whatever the target.
+    same sparsity (``_epoch_sparsity(target, 0, cfg.epochs)``): the first
+    epoch trains at the ramp's start whatever the target.
     """
     if not 0 <= target_sparsity < 1:
         raise ValueError(f"target_sparsity must lie in [0, 1), got {target_sparsity}")
-    schedule = _ramp(target_sparsity, cfg.epochs) if cfg.epochs > 1 else None
 
     def epoch_mask(model: Model, epoch: int) -> PruneMask:
-        s = target_sparsity if schedule is None else schedule_sparsity(schedule, epoch)
-        return build_mask(model.params, s)
+        return build_mask(model.params, _epoch_sparsity(target_sparsity, epoch, cfg.epochs))
 
     return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask, target_sparsity,
                               epochs=epochs)

@@ -8,12 +8,6 @@ sparsity (every target of 0.5 or more) train the same first epoch; each
 sweep trains it once, on one lane while the other stores the baseline row,
 and those rows go on from it.
 
-The second CPU has one owner at a time.  While two lanes take rows, each
-runs its kernels whole; while fewer do (the baseline's training, a phase on
-one lane, the last row once the other lane has run out), nncore's helper
-thread takes half of each conv and maxpool.  The lanes count themselves in
-``nncore._lanes``, so a lane that ends hands its CPU to the helper at once.
-
 Config files are flat ``key = value`` text; see parse_config.
 """
 
@@ -21,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -139,58 +132,6 @@ def artifact_name(arch: str, dataset: str, sparsity: float, bits: int) -> str:
     return f"{arch}_{dataset}_s{_fmt_sparsity(sparsity)}_p{bits}.mcmp.gz"
 
 
-def _on_two_lanes(fn, items: list) -> list:
-    """``[fn(x) for x in items]``, taken in order by this thread and a worker.
-
-    An exception escaping ``fn`` stops both from taking more and is raised once
-    the worker has ended.  One that reaches this thread (an interrupt, say) also
-    ends the worker's item, at its next training batch or cell
-    (``nncore._stop``); a further interrupt does not wait for it."""
-    results, todo, lock, raised = {}, iter(enumerate(items)), threading.Lock(), []
-    stop, ended = threading.Event(), threading.Event()  # not join: an interrupt can spoil it
-
-    def take():
-        with lock:
-            return None if raised else next(todo, None)
-
-    def lane():  # counted while it takes items, so the helper stays off the second CPU
-        with nncore._lanes_lock:
-            nncore._lanes += 1
-        try:
-            for i, x in iter(take, None):
-                results[i] = fn(x)
-        except BaseException as e:
-            raised.append(e)
-        finally:
-            with nncore._lanes_lock:
-                nncore._lanes -= 1
-
-    def work():
-        nncore._stop[threading.get_ident()] = stop
-        try:
-            lane()
-        finally:
-            del nncore._stop[threading.get_ident()]
-            ended.set()
-
-    worker = threading.Thread(target=work, name="compresslab-sweep-lane")
-    worker.start()
-    lane()
-    while not ended.is_set():
-        try:
-            if raised:
-                stop.set()
-            ended.wait()
-        except BaseException as e:  # an interrupt while waiting; a later one does not wait
-            if stop.is_set():
-                raise
-            raised.append(e)
-    worker.join()  # only the end of its thread is left
-    if raised:
-        raise raised[0]
-    return [results[i] for i in range(len(items))]
-
-
 # Two training steps at once of a model with a conv GEMM this large held too
 # much memory: a cifar-smallnet sweep (340M multiply-adds in its first conv
 # at batch 128) peaked at 458-470 MB RSS on two lanes, 265-269 MB on one.
@@ -211,12 +152,9 @@ def _too_big_for_two_lanes(model: nncore.Model, batch: int) -> bool:
 def _sharing_first_epoch(cfg: SweepConfig) -> list[tuple]:
     """The groups of two or more pruned rows whose fine-tunes train the same
     first epoch: those whose ramps start at the same sparsity."""
-    if cfg.epochs == 1:  # no ramp: each trains at its own target
-        return []
     starts: dict[float, list] = {}
-    for s in cfg.sparsity_grid[1:]:
-        start = pruning.schedule_sparsity(pruning._ramp(s, cfg.epochs), 0)
-        starts.setdefault(start, []).append(s)
+    for s in cfg.sparsity_grid[1:]:  # with one epoch each starts at its own target
+        starts.setdefault(pruning._epoch_sparsity(s, 0, cfg.epochs), []).append(s)
     return [tuple(group) for group in starts.values() if len(group) > 1]
 
 
@@ -281,7 +219,7 @@ def run_sweep(cfg: SweepConfig):
         return _row(cfg, model, s, test_data)
 
     two = nncore._cpus() > 1 and not _too_big_for_two_lanes(baseline, cfg.batch_size)
-    lanes = _on_two_lanes if two else map
+    lanes = nncore._on_two_lanes if two else map
     row0, *firsts = lanes(lambda job: job(), [partial(_row, cfg, baseline, 0.0, test_data),
                                               *(partial(first_epoch, g) for g in groups)])
     first = {s: model for group, model in zip(groups, firsts) for s in group}

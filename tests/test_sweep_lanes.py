@@ -117,7 +117,7 @@ def test_the_helper_runs_only_while_fewer_than_two_lanes_do(monkeypatch):
     short_started, short_done = threading.Event(), threading.Event()
     # (lanes counted, whether the short job had ended) at each hand-over
     monkeypatch.setattr(nncore._helper, "submit", lambda fn: submits.append(
-        (nncore._lanes, short_done.is_set())) or real_submit(fn))
+        (len(nncore._lanes), short_done.is_set())) or real_submit(fn))
     model, data = build_model("mnist-cnn", seed=2), synthetic_dataset(8, seed=3)
 
     def job(kind):
@@ -130,28 +130,28 @@ def test_the_helper_runs_only_while_fewer_than_two_lanes_do(monkeypatch):
         nncore.loss_and_grad(model, data.images, data.labels)  # beside the short job
         assert short_done.wait(60)
         deadline = time.monotonic() + 10
-        while nncore._lanes > 1 and time.monotonic() < deadline:  # its lane's loop ends
+        while len(nncore._lanes) > 1 and time.monotonic() < deadline:  # its lane's loop ends
             time.sleep(0.001)
         nncore.loss_and_grad(model, data.images, data.labels)
 
-    assert nncore._lanes == 0
-    sweep._on_two_lanes(job, ["long", "short"])  # taken in order: "long" is counted first
+    assert nncore._lanes == {}
+    nncore._on_two_lanes(job, ["long", "short"])  # taken in order: "long" is counted first
     assert submits and all(lanes == 1 and done for lanes, done in submits)
-    assert nncore._lanes == 0
+    assert nncore._lanes == {}
     for error in (ValueError, KeyboardInterrupt):
         def fail(x, error=error):
             if x == 1:
                 raise error
         with pytest.raises(error):
-            sweep._on_two_lanes(fail, [0, 1, 2, 3])
-        assert nncore._lanes == 0
+            nncore._on_two_lanes(fail, [0, 1, 2, 3])
+        assert nncore._lanes == {}
 
 
 def test_lanes_take_each_item_once_in_order_under_frequent_switches():
     taken, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        squares = sweep._on_two_lanes(lambda x: taken.append(x) or x * x, list(range(3000)))
+        squares = nncore._on_two_lanes(lambda x: taken.append(x) or x * x, list(range(3000)))
     finally:
         sys.setswitchinterval(interval)
     assert squares == [x * x for x in range(3000)]
@@ -208,11 +208,43 @@ def test_an_interrupt_in_this_lanes_row_ends_the_workers_row_at_once(monkeypatch
 
     before, start = _threads(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        sweep._on_two_lanes(_slow_row_in_the_worker(in_row, finished, interrupted), [0, 1])
+        nncore._on_two_lanes(_slow_row_in_the_worker(in_row, finished, interrupted), [0, 1])
     assert time.monotonic() - start < 30 and not finished
     assert set(threading.enumerate()) == before
 
 
+def test_a_failed_row_in_the_worker_ends_this_lanes_row_at_once(monkeypatch):
+    monkeypatch.setattr(nncore, "_cpus", lambda: 2)
+    in_row, finished, data = threading.Event(), [], synthetic_dataset(16, seed=5)
+
+    def row(x):
+        if threading.current_thread().name == LANE:
+            assert in_row.wait(60)
+            raise RuntimeError("injected row crash")
+        in_row.set()
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            nncore.train(build_model("mnist-cnn", seed=1), data,
+                         TrainConfig(epochs=20, batch_size=4, learning_rate=0.01))
+        finished.append(x)
+
+    before, start = _threads(), time.monotonic()
+    with pytest.raises(RuntimeError, match="injected row crash"):
+        nncore._on_two_lanes(row, [0, 1])
+    assert time.monotonic() - start < 30 and not finished
+    assert set(threading.enumerate()) == before
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt for the test, also where pytest was
+    started with SIGINT ignored (Python then installs no handler of its own)."""
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, old)
+
+
+@pytest.mark.usefixtures("sigint_raises")
 def test_an_interrupt_while_joining_ends_the_workers_row_at_once(monkeypatch):
     monkeypatch.setattr(nncore, "_cpus", lambda: 2)
     in_row, finished, main = threading.Event(), [], threading.main_thread().ident
@@ -226,13 +258,14 @@ def test_an_interrupt_while_joining_ends_the_workers_row_at_once(monkeypatch):
     sender = threading.Thread(target=ctrl_c)
     with pytest.raises(KeyboardInterrupt):
         sender.start()
-        sweep._on_two_lanes(_slow_row_in_the_worker(
+        nncore._on_two_lanes(_slow_row_in_the_worker(
             in_row, finished, lambda x: in_row.wait(60)), [0, 1])
     sender.join()
     assert time.monotonic() - start < 30 and not finished
     assert set(threading.enumerate()) == before
 
 
+@pytest.mark.usefixtures("sigint_raises")
 def test_a_second_interrupt_does_not_wait_for_the_worker():
     in_row, release, main = threading.Event(), threading.Event(), threading.main_thread().ident
 
@@ -251,22 +284,19 @@ def test_a_second_interrupt_does_not_wait_for_the_worker():
     sender, start = threading.Thread(target=ctrl_c), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         sender.start()
-        sweep._on_two_lanes(row, [0, 1])
+        nncore._on_two_lanes(row, [0, 1])
     assert time.monotonic() - start < 30
     release.set()
     for thread in [sender, *(t for t in threading.enumerate() if t.name == LANE)]:
         thread.join()
 
 
-def test_a_row_asked_to_stop_stores_no_more_cells(data_dir, tmp_path):
-    cfg, stop = _config(data_dir, tmp_path), threading.Event()
-    stop.set()
-    nncore._stop[threading.get_ident()] = stop
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            sweep._row(cfg, build_model("mnist-cnn", seed=1), 0.5, synthetic_dataset(10, seed=2))
-    finally:
-        del nncore._stop[threading.get_ident()]
+def test_a_row_asked_to_stop_stores_no_more_cells(data_dir, tmp_path, monkeypatch):
+    cfg = _config(data_dir, tmp_path)
+    # this thread listed as a lane whose run has an error
+    monkeypatch.setitem(nncore._lanes, threading.get_ident(), [RuntimeError("other lane")])
+    with pytest.raises(KeyboardInterrupt):
+        sweep._row(cfg, build_model("mnist-cnn", seed=1), 0.5, synthetic_dataset(10, seed=2))
     assert os.listdir(tmp_path) == []
 
 
