@@ -27,17 +27,17 @@ The conv and maxpool kernels, and nothing else, use one private helper
 thread when more than one CPU is usable and fewer than two sweep lanes are
 taking rows (the table ``_lanes``, below): so in ``train``,
 ``prune_and_finetune`` and ``evaluate_accuracy`` outside a sweep, in a
-sweep's baseline training and in its one-lane phases, never while two lanes
-run.  In the forward pass the helper fills and multiplies the patch rows, or
-pools the windows, of the first N // 2 examples while the calling thread
-does the rest; in the backward pass it computes the conv weight gradient
-while the calling thread sums the bias gradient and runs the input-gradient
-taps, and routes the first N // 2 examples' pool gradient.  A row split of a
-conv GEMM gives the same bits as the whole GEMM, maxpool works per example,
-and each part writes its own rows of arrays the calling thread allocated,
-so the bits still depend only on the machine and the BLAS thread count, not
-on whether the helper runs.  Dense GEMMs are never split: their bits change
-with the number of rows.
+sweep's baseline training, its shared first fine-tune epochs and its
+one-lane phases, never while two lanes run.  In the forward pass the helper
+fills and multiplies the patch rows, or pools the windows, of the first
+N // 2 examples while the calling thread does the rest; in the backward
+pass it computes the conv weight gradient while the calling thread sums the
+bias gradient and runs the input-gradient taps, and routes the first N // 2
+examples' pool gradient.  A row split of a conv GEMM gives the same bits
+as the whole GEMM, maxpool works per example, and each part writes its own
+rows of arrays the calling thread allocated, so the bits still depend only
+on the machine and the BLAS thread count, not on whether the helper runs.
+Dense GEMMs are never split: their bits change with the number of rows.
 
 The sweep's lanes (``_on_two_lanes``) keep one table, ``_lanes``: each lane
 thread's id maps to its run's error list while that lane takes items.  The
@@ -528,6 +528,7 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     return _softmax(_logits(model, batch))
 
 
+@_one_blas_thread()
 def loss_and_grad(model: Model, batch: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and gradients keyed like ``model.params``.
 

@@ -1,12 +1,13 @@
 """Full compression sweeps: train a baseline, then walk the
 sparsity x precision grid, writing one artifact per cell plus a results CSV.
-The baseline row runs first; the others, each a fine-tune of it, run on two
-lanes, this thread and one worker, in grid order: on one lane when one CPU
-is usable or two training steps at once would hold too much memory
-(``_too_big_for_two_lanes``).  Rows whose fine-tunes ramp from the same
-sparsity (every target of 0.5 or more) train the same first epoch; each
-sweep trains it once, on one lane while the other stores the baseline row,
-and those rows go on from it.
+Rows whose fine-tunes ramp from the same sparsity (every target of 0.5 or
+more) train the same first epoch.  So a sweep runs in this order: the
+baseline is trained; each such group's first epoch is trained once, on this
+thread; then every row, the baseline's too, runs on two lanes, this thread
+and one worker, in grid order, each pruned row fine-tuning the baseline or
+going on from its group's first epoch.  The rows run on one lane when one
+CPU is usable or two training steps at once would hold too much memory
+(``_too_big_for_two_lanes``).
 
 Config files are flat ``key = value`` text; see parse_config.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 
 from . import datasets, metrics, nncore, pruning, quantization, sizing
 from .metrics import CompressionRecord, _fmt_sparsity
@@ -56,7 +56,7 @@ class SweepConfig:
         if self.int8_mode not in quantization.INT8_MODES:
             raise ValueError(f"int8_mode must be {' or '.join(quantization.INT8_MODES)}, "
                              f"got {self.int8_mode!r}")
-        sparsities = tuple(sorted(set(float(s) for s in self.sparsity_grid)))
+        sparsities = tuple(sorted(set(float(s) + 0.0 for s in self.sparsity_grid)))  # -0 is 0
         if not sparsities or any(not 0 <= s < 1 for s in sparsities):
             raise ValueError(f"sparsity_grid values must lie in [0, 1): {self.sparsity_grid}")
         for s in sparsities:  # results.csv and artifact names write at most 4 decimals
@@ -187,27 +187,30 @@ def run_sweep(cfg: SweepConfig):
     Returns (records, failures) where failures is a list of
     (sparsity, bits, error string).  Identical configs produce byte-identical
     CSVs; a failed cell is logged and skipped, never silently patched over,
-    except the baseline cell (0, 32), whose error is raised.
+    except the baseline cell (0, 32), whose error is raised.  The failed
+    cells are listed in ``failures.log``; a run with none removes that file.
     """
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
     logger.info("training %s baseline on %s (%d examples)", cfg.arch, cfg.dataset, len(train_data))
     baseline = nncore.train(nncore.build_model(cfg.arch, cfg.seed), train_data, cfg.train_config())
 
-    ft_cfg, groups = cfg.finetune_config(), _sharing_first_epoch(cfg)
-
-    def first_epoch(group: tuple) -> nncore.Model | str:  # the model after it, or its error
+    ft_cfg, first = cfg.finetune_config(), {}  # shared row -> model after epoch 1, or its error
+    for group in _sharing_first_epoch(cfg):
         logger.info("fine-tune epoch 1 of rows s=%s, trained once for all",
                     ", ".join(map(_fmt_sparsity, group)))
         try:
-            return pruning.prune_and_finetune(baseline, train_data, ft_cfg, group[0],
-                                              epochs=range(1))[0]
+            model = pruning.prune_and_finetune(baseline, train_data, ft_cfg, group[0],
+                                               epochs=range(1))[0]
         except Exception as e:
-            return f"{type(e).__name__}: {e}"
+            model = f"{type(e).__name__}: {e}"
+        first.update(dict.fromkeys(group, model))
 
-    def pruned_row(s: float) -> dict:  # its fine-tune's epoch lines name it
+    def row(s: float) -> dict:  # its fine-tune's epoch lines name it
         try:
-            if s not in first:
+            if s == 0.0:
+                model = baseline
+            elif s not in first:
                 model, _ = pruning.prune_and_finetune(baseline, train_data, ft_cfg, s)
             elif isinstance(first[s], str):
                 return dict.fromkeys(cfg.precision_grid, first[s])
@@ -219,15 +222,11 @@ def run_sweep(cfg: SweepConfig):
         return _row(cfg, model, s, test_data)
 
     two = nncore._cpus() > 1 and not _too_big_for_two_lanes(baseline, cfg.batch_size)
-    lanes = nncore._on_two_lanes if two else map
-    row0, *firsts = lanes(lambda job: job(), [partial(_row, cfg, baseline, 0.0, test_data),
-                                              *(partial(first_epoch, g) for g in groups)])
-    first = {s: model for group, model in zip(groups, firsts) for s in group}
-    rows = [row0, *lanes(pruned_row, cfg.sparsity_grid[1:])]
+    rows = list((nncore._on_two_lanes if two else map)(row, cfg.sparsity_grid))
     records, failures = [], []  # CompressionRecords; (sparsity, bits, error string)s
     base_size, base_acc = rows[0][32]  # config validation put the baseline first
-    for s, row in zip(cfg.sparsity_grid, rows):
-        for bits, cell in row.items():
+    for s, cells in zip(cfg.sparsity_grid, rows):
+        for bits, cell in cells.items():
             if isinstance(cell, str):
                 logger.warning("cell s=%s p=%d failed: %s", _fmt_sparsity(s), bits, cell)
                 failures.append((s, bits, cell))
@@ -244,7 +243,10 @@ def run_sweep(cfg: SweepConfig):
 
     sizing._write_file(os.path.join(cfg.out_dir, RESULTS_CSV),
                        metrics.records_to_csv(records).encode())
+    log = os.path.join(cfg.out_dir, FAILURES_LOG)
     if failures:
-        sizing._write_file(os.path.join(cfg.out_dir, FAILURES_LOG), "".join(
+        sizing._write_file(log, "".join(
             f"s={_fmt_sparsity(s)} p={bits}: {err}\n" for s, bits, err in failures).encode())
+    elif os.path.exists(log):  # an earlier sweep's, naming cells results.csv now holds
+        os.remove(log)
     return records, failures

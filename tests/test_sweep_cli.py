@@ -3,6 +3,7 @@ grid behaviour, CSV determinism, per-stage equivalence with sweep cells,
 report rendering, and exit codes.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,12 @@ def test_sweep_failed_cell_logged_not_patched(data_dir, tmp_path, monkeypatch):
     assert [(r.sparsity, r.precision_bits) for r in records] == [(0.0, 32), (0.0, 8)]
     with open(os.path.join(out, "failures.log")) as f:
         assert "injected" in f.read()
+    monkeypatch.undo()  # a clean sweep into the same directory removes the stale log
+    run_sweep(small_config(data_dir, out))
+    assert not os.path.exists(os.path.join(out, "failures.log"))
+    with open(os.path.join(out, "results.csv")) as f:
+        assert [(r.sparsity, r.precision_bits) for r in records_from_csv(f.read())] == \
+            [(0.0, 32), (0.0, 8), (0.9, 32), (0.9, 8)]
 
 
 def test_sweep_failed_cell_keeps_the_rest_of_its_row(data_dir, tmp_path, monkeypatch):
@@ -188,6 +195,10 @@ def test_sweep_config_validation(data_dir):
     cfg = small_config(data_dir, "x", sparsity_grid=(0.9, 0.0, 0.5, 0.5))
     assert cfg.sparsity_grid == (0.0, 0.5, 0.9)
     assert cfg.precision_grid == (32, 8)
+    cfg = small_config(data_dir, "x", sparsity_grid=(-0.0, 0.5))
+    assert cfg.sparsity_grid == (0.0, 0.5) and math.copysign(1.0, cfg.sparsity_grid[0]) == 1.0
+    assert sweep.artifact_name("mnist-cnn", "mnist", cfg.sparsity_grid[0], 32) == \
+        "mnist-cnn_mnist_s0_p32.mcmp.gz"
 
 
 # ---------------------------------------------------------------------------

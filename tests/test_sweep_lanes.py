@@ -417,13 +417,14 @@ def test_each_sweep_trains_its_shared_epoch_itself(data_dir, tmp_path, monkeypat
     real, first_epochs = nncore._run_epochs, []
 
     def counted(*args, epochs=None):
-        if epochs == range(1):
-            first_epochs.append(threading.current_thread().name)
+        if epochs == range(1):  # it runs alone, on the calling thread, with no lane listed
+            first_epochs.append((threading.current_thread().name, dict(nncore._lanes)))
         return real(*args, epochs=epochs)
 
     monkeypatch.setattr(nncore, "_run_epochs", counted)
     _two_lanes_then_one(_shared_config(data_dir, ""), tmp_path, monkeypatch)  # two sweeps
     assert len(first_epochs) == 2
+    assert first_epochs == [("MainThread", {})] * 2
 
 
 def test_training_split_subsets_are_its_index_arrays():
@@ -480,7 +481,7 @@ LIBRARY_CALLS = """\
 import hashlib
 import numpy as np
 from compresslab import (TrainConfig, build_model, evaluate_accuracy, forward,
-                         nncore, prune_and_finetune, train)
+                         loss_and_grad, nncore, prune_and_finetune, train)
 from compresslab.datasets import DatasetSplit
 rng = np.random.default_rng(7)
 data = DatasetSplit(rng.uniform(0, 1, (400, 28, 28, 1)).astype(np.float32),
@@ -490,14 +491,17 @@ model = train(build_model("mnist-cnn", seed=3), data, cfg)
 pruned, _ = prune_and_finetune(model, data, cfg, 0.9)
 for out in (*model.params.values(), *pruned.params.values(), forward(pruned, data.images)):
     print(hashlib.sha256(out.tobytes()).hexdigest())
-print(repr(evaluate_accuracy(pruned, data)), nncore._openblas()[0]())
+loss, grads = loss_and_grad(model, data.images[:128], data.labels[:128])
+for out in grads.values():
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+print(repr(loss), repr(evaluate_accuracy(pruned, data)), nncore._openblas()[0]())
 """
 
 
 @pytest.mark.skipif(_bundled_openblas() is None, reason="numpy does not bundle OpenBLAS here")
 def test_library_calls_at_two_blas_threads_give_the_one_thread_bits():
-    """train, prune_and_finetune, forward and evaluate_accuracy pin one thread
-    themselves, and give the caller's count back."""
+    """train, prune_and_finetune, forward, evaluate_accuracy and loss_and_grad
+    pin one thread themselves, and give the caller's count back."""
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
