@@ -6,7 +6,7 @@ fine-tune would follow on its way to 95% sparsity.
 
 import numpy as np
 
-from compresslab import SparsitySchedule, magnitude_threshold, schedule_sparsity
+from compresslab import epoch_sparsity, magnitude_threshold
 
 w = np.array([0.9, -0.05, 0.3, 0.0, -1.2, 0.02, -0.4, 0.15, 0.6, -0.08],
              dtype=np.float32)
@@ -17,9 +17,8 @@ print("kept:   ", np.array2string(np.where(keep, w, np.float32(0)), precision=2)
 print(f"zeroed the {np.count_nonzero(~keep)} smallest magnitudes "
       f"(floor(0.6 * {w.size}))\n")
 
-sched = SparsitySchedule(initial_sparsity=0.5, final_sparsity=0.95, total_steps=9)
 print("epoch  scheduled sparsity")
 for epoch in range(10):
-    print(f"{epoch:>5}  {schedule_sparsity(sched, epoch):.4f}")
+    print(f"{epoch:>5}  {epoch_sparsity(0.95, epoch, 10):.4f}")
 print("\nThe mask is rebuilt from the current weights at every epoch, so")
 print("early zeros can win their spot back while sparsity ramps up.")

@@ -6,8 +6,7 @@ theoretical bound of half a step, and that exact zeros stay exact.
 
 import numpy as np
 
-from compresslab import (compute_quant_params, convert_float16,
-                         dequantize_tensor, quantize_tensor)
+from compresslab import QuantParams, compute_quant_params, dequantize_tensor, quantize_tensor
 
 rng = np.random.default_rng(0)
 w = rng.standard_normal(1000).astype(np.float32)
@@ -23,6 +22,6 @@ for mode in ("asymmetric", "symmetric"):
           f"(bound scale/2 = {params.scale / 2:.3e})")
     print(f"{'':>10}  zeros preserved: {bool((back[w == 0] == 0).all())}")
 
-half = dequantize_tensor(convert_float16(w))
+half = dequantize_tensor(quantize_tensor(w, QuantParams(16, "float16")))
 print(f"\n   float16: max error {np.abs(half - w).max():.3e} "
       f"(much tighter than int8, at twice the bytes)")

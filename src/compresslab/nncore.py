@@ -4,9 +4,12 @@ Provides the tensors-as-ndarrays model container, forward/backward passes for
 a small set of layer kinds (conv2d, maxpool2x2, flatten, dense, relu),
 plain-SGD training, and accuracy evaluation.  The last layer gives the logits;
 ``forward`` applies the softmax and the loss fuses it with the cross-entropy.
-Everything is bit-deterministic on one machine at a fixed BLAS thread count:
-given (seed, config, data) two runs produce bit-identical parameters.  Other
-thread counts may sum GEMMs in another order and so give other bits.
+Everything is bit-deterministic on one machine: given (seed, config, data)
+two runs produce bit-identical parameters.  With numpy's bundled OpenBLAS the
+bits do not depend on the caller's BLAS thread count either: every GEMM runs
+inside ``forward`` or ``loss_and_grad``, both pin one BLAS thread, and the
+sweep's lane pass pins around both lanes.  With another BLAS, another thread
+count may sum GEMMs in another order and so give other bits.
 Training gathers each batch from the data by index, so it copies no split.
 
 A conv layer runs as flat 2-D GEMMs over its (N*OH*OW, k*k*C) patch matrix:
@@ -145,6 +148,42 @@ def _check_stop() -> None:
         raise KeyboardInterrupt
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread-count (get, set) functions, or None;
+    looked up once per process."""
+    found = glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so")
+    lib = ctypes.CDLL(found[0]) if len(found) == 1 else None  # two: cannot tell which numpy uses
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_threads is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS (if found) on one thread, then restore.
+
+    It wraps the two calls every GEMM runs inside, ``forward`` and
+    ``loss_and_grad``, and the sweep's lane pass, ``_on_two_lanes``: without
+    that outer pin one lane's pin could give the caller's count back while
+    the other lane runs BLAS.  A count already at 1 is not set at all, so a
+    pin inside another calls no setter while another thread runs BLAS."""
+    blas = _openblas()
+    count = blas[0]() if blas else 1
+    if count != 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if count != 1:
+            blas[1](count)
+
+
+@_one_blas_thread()
 def _on_two_lanes(fn, items: list) -> list:
     """``[fn(x) for x in items]``, taken in order by this thread and a worker.
 
@@ -187,39 +226,6 @@ def _on_two_lanes(fn, items: list) -> list:
     if raised:
         raise raised[0]
     return [results[i] for i in range(len(items))]
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS thread-count (get, set) functions, or None;
-    looked up once per process."""
-    found = glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so")
-    lib = ctypes.CDLL(found[0]) if len(found) == 1 else None  # two: cannot tell which numpy uses
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_threads is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get, set_threads
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's bundled OpenBLAS (if found) on one thread, then restore.
-
-    A count already at 1 is not set at all, so a pin inside another (a
-    sweep lane's fine-tune, each ``forward`` of an evaluation) calls no
-    setter while another thread runs BLAS."""
-    blas = _openblas()
-    count = blas[0]() if blas else 1
-    if count != 1:
-        blas[1](1)
-    try:
-        yield
-    finally:
-        if count != 1:
-            blas[1](count)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +725,9 @@ def _run_epochs(model: Model, data: DatasetSplit, cfg: TrainConfig, stream: int,
     return model, mask
 
 
-@_one_blas_thread()
 def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
     """SGD-train a copy of ``model``; bit-deterministic given (seed, data, cfg)
-    on one machine at a fixed BLAS thread count.
+    on one machine (the module docstring says when the BLAS count matters).
 
     ``cfg.val_split`` of the data is held out (never trained on) and its
     accuracy is logged once per epoch.  Shares its epoch loop with
@@ -732,7 +737,6 @@ def train(model: Model, data: DatasetSplit, cfg: TrainConfig) -> Model:
     return _run_epochs(model, data, cfg, 0, lambda model, epoch: None)[0]
 
 
-@_one_blas_thread()
 def evaluate_accuracy(model: Model, data: DatasetSplit) -> float:
     """Percent of argmax-correct predictions; argmax ties go to the lowest class.
     Each ``forward`` call gets ``_EVAL_BATCH`` rows, the last batch padded with

@@ -39,30 +39,6 @@ class PruneMask:
         return zeros / total
 
 
-@dataclass(frozen=True)
-class SparsitySchedule:
-    """Cubic ramp from initial_sparsity at step 0 to final_sparsity at total_steps."""
-
-    initial_sparsity: float
-    final_sparsity: float
-    total_steps: int
-
-    def __post_init__(self):
-        if not 0 <= self.initial_sparsity < 1 or not 0 <= self.final_sparsity < 1:
-            raise ValueError(f"sparsities must lie in [0, 1): {self}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-
-
-def schedule_sparsity(schedule: SparsitySchedule, step: int) -> float:
-    """Sparsity at an integer step: s_f + (s_i - s_f) * (1 - t/T)^3."""
-    if not 0 <= step <= schedule.total_steps:
-        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    frac = 1.0 - step / schedule.total_steps
-    return schedule.final_sparsity + \
-        (schedule.initial_sparsity - schedule.final_sparsity) * frac ** 3
-
-
 def magnitude_threshold(weights: np.ndarray, sparsity: float) -> np.ndarray:
     """Keep-mask zeroing the floor(sparsity * size) smallest-|w| entries.
 
@@ -99,17 +75,22 @@ def build_mask(params: dict[str, np.ndarray], sparsity: float) -> PruneMask:
     return PruneMask(masks=masks, target_sparsity=sparsity)
 
 
-def _epoch_sparsity(target: float, epoch: int, epochs: int) -> float:
+def epoch_sparsity(target: float, epoch: int, epochs: int) -> float:
     """The sparsity epoch ``epoch`` of an ``epochs``-epoch fine-tune to
-    ``target`` trains at: the cubic ramp from min(0.5, target) to the target
-    over epochs - 1 steps (an epoch each).  A one-epoch fine-tune has no ramp:
-    it trains at the target."""
+    ``target`` trains at: the cubic ramp s_f + (s_i - s_f) * (1 - t/T)^3 of
+    Zhu & Gupta (arXiv:1710.01878) from s_i = min(0.5, target) to s_f =
+    target over T = epochs - 1 steps (an epoch each).  A one-epoch fine-tune
+    has no ramp: it trains at the target."""
+    if not 0 <= target < 1:
+        raise ValueError(f"target must lie in [0, 1), got {target}")
+    if not 0 <= epoch < epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {epochs})")
     if epochs == 1:
         return target
-    return schedule_sparsity(SparsitySchedule(min(0.5, target), target, epochs - 1), epoch)
+    frac = 1.0 - epoch / (epochs - 1)
+    return target + (min(0.5, target) - target) * frac ** 3
 
 
-@nncore._one_blas_thread()
 def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
                        target_sparsity: float, *,
                        epochs: range | None = None) -> tuple[Model, PruneMask]:
@@ -128,14 +109,14 @@ def prune_and_finetune(model: Model, data: DatasetSplit, cfg: TrainConfig,
     must be the model after epochs 0..k-1 of a fine-tune with the same data
     and config; the result is then that whole fine-tune's, bit for bit.  For
     k = 1 the earlier fine-tune's target may be any whose ramp starts at the
-    same sparsity (``_epoch_sparsity(target, 0, cfg.epochs)``): the first
+    same sparsity (``epoch_sparsity(target, 0, cfg.epochs)``): the first
     epoch trains at the ramp's start whatever the target.
     """
     if not 0 <= target_sparsity < 1:
         raise ValueError(f"target_sparsity must lie in [0, 1), got {target_sparsity}")
 
     def epoch_mask(model: Model, epoch: int) -> PruneMask:
-        return build_mask(model.params, _epoch_sparsity(target_sparsity, epoch, cfg.epochs))
+        return build_mask(model.params, epoch_sparsity(target_sparsity, epoch, cfg.epochs))
 
     return nncore._run_epochs(model, data, cfg, _FINETUNE_STREAM, epoch_mask, target_sparsity,
                               epochs=epochs)

@@ -133,7 +133,9 @@ def _quantize(w: np.ndarray, params: QuantParams, name: str) -> QuantizedTensor:
 
 
 def quantize_tensor(weights: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Map floats onto the int8 grid (round half to even, then clamp)."""
+    """Store a tensor as ``params`` says: on an int8 grid (round half to even,
+    then clamp), or cast to float16 (round to nearest even; overflow is an
+    error) or float32."""
     return _quantize(_check_weights(weights), params, "tensor")
 
 
@@ -143,11 +145,6 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     if _CODECS[p.mode].grid is None:
         return qt.payload.astype(np.float32)
     return (p.scale * (qt.payload.astype(np.float64) - p.zero_point)).astype(np.float32)
-
-
-def convert_float16(weights: np.ndarray, name: str = "tensor") -> QuantizedTensor:
-    """IEEE binary16 conversion (round to nearest even); overflow is an error."""
-    return _quantize(_check_weights(weights), _FLOAT16, name)
 
 
 def quantize_params(params: dict[str, np.ndarray], bits: int,

@@ -154,7 +154,7 @@ def _sharing_first_epoch(cfg: SweepConfig) -> list[tuple]:
     first epoch: those whose ramps start at the same sparsity."""
     starts: dict[float, list] = {}
     for s in cfg.sparsity_grid[1:]:  # with one epoch each starts at its own target
-        starts.setdefault(pruning._epoch_sparsity(s, 0, cfg.epochs), []).append(s)
+        starts.setdefault(pruning.epoch_sparsity(s, 0, cfg.epochs), []).append(s)
     return [tuple(group) for group in starts.values() if len(group) > 1]
 
 
@@ -178,7 +178,6 @@ def _row(cfg: SweepConfig, model, s: float, test_data) -> dict:
     return cells
 
 
-@nncore._one_blas_thread()  # so the bits do not depend on the caller's BLAS thread count
 def run_sweep(cfg: SweepConfig):
     """Train the baseline, walk the grid, save artifacts and the results CSV
     in ``cfg.out_dir``.  A cell is scored on the model rebuilt from its stored
@@ -189,6 +188,8 @@ def run_sweep(cfg: SweepConfig):
     CSVs; a failed cell is logged and skipped, never silently patched over,
     except the baseline cell (0, 32), whose error is raised.  The failed
     cells are listed in ``failures.log``; a run with none removes that file.
+    An artifact of this architecture and dataset that an earlier sweep left
+    for a cell this grid does not hold is removed too.
     """
     train_data, test_data = DATASET_LOADERS[cfg.dataset](cfg.data_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -249,4 +250,9 @@ def run_sweep(cfg: SweepConfig):
             f"s={_fmt_sparsity(s)} p={bits}: {err}\n" for s, bits, err in failures).encode())
     elif os.path.exists(log):  # an earlier sweep's, naming cells results.csv now holds
         os.remove(log)
+    grid = {artifact_name(cfg.arch, cfg.dataset, s, bits)
+            for s in cfg.sparsity_grid for bits in cfg.precision_grid}
+    for name in set(os.listdir(cfg.out_dir)) - grid:  # an earlier, larger grid's cells
+        if name.startswith(f"{cfg.arch}_{cfg.dataset}_s") and name.endswith(".mcmp.gz"):
+            os.remove(os.path.join(cfg.out_dir, name))
     return records, failures

@@ -1,7 +1,7 @@
 """Frozen golden: the artifact bytes of every storage mode must not move.
 
 A seeded tensor map holds one entry per way a tensor reaches the container:
-a float32 array, a float16 array, ``convert_float16``, asymmetric and
+a float32 array, a float16 array, ``quantize_tensor`` at float16, asymmetric and
 symmetric int8, an asymmetric tensor whose zero point is 128 (it reads back
 as symmetric), a constant negative tensor (zero point 255), all-zero tensors
 and 0-d tensors.  The test checks the sha256 of ``serialize_model``'s bytes
@@ -14,8 +14,7 @@ import hashlib
 
 import numpy as np
 
-from compresslab.quantization import (QuantParams, compute_quant_params,
-                                      convert_float16, dequantize_tensor,
+from compresslab.quantization import (QuantParams, compute_quant_params, dequantize_tensor,
                                       quantize_tensor)
 from compresslab.sizing import parse_model_bytes, serialize_model
 
@@ -35,7 +34,7 @@ def codec_map() -> dict:
     return {
         "f32": w,
         "f16_array": w.astype(np.float16),
-        "f16_convert": convert_float16(w, name="f16_convert"),
+        "f16_convert": quantize_tensor(w, QuantParams(16, "float16")),
         "asym": _quantized(skewed, "asymmetric"),
         "sym": _quantized(w, "symmetric"),
         "asym_zp128": quantize_tensor(w, midpoint),

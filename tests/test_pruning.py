@@ -3,6 +3,7 @@ plain Python sort over (|w|, flat index) pairs, independently of the numpy
 implementation.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 
 from compresslab.nncore import (TrainConfig, TrainingDivergedError, build_model,
                                 evaluate_accuracy)
-from compresslab.pruning import (PruneMask, SparsitySchedule, build_mask,
-                                 magnitude_threshold, prune_and_finetune, schedule_sparsity)
+from compresslab.pruning import (PruneMask, build_mask, epoch_sparsity, magnitude_threshold,
+                                 prune_and_finetune)
 
 
 def oracle_mask(weights: np.ndarray, sparsity: float) -> np.ndarray:
@@ -115,31 +116,38 @@ def test_zero_sparsity_keeps_everything():
 # ---------------------------------------------------------------------------
 # schedule
 
+# sha256 of the ramp's float.hex() strings, joined by spaces, over targets x
+# fine-tune lengths x epochs (154 values); recorded from the ramp before it
+# was made public, so the public one must give the same bits
+RAMP_SHA256 = "5020db5708a1a5555d54ffce38ebee4dd3499a8ce7ce9c8e41c22994f4a99263"
+
+
 def test_schedule_endpoints_and_midpoint():
-    sched = SparsitySchedule(0.5, 0.9, total_steps=4)
-    assert schedule_sparsity(sched, 0) == pytest.approx(0.5)
-    assert schedule_sparsity(sched, 4) == pytest.approx(0.9)
-    # t=2: 0.9 + (0.5-0.9) * (1/2)^3
-    assert schedule_sparsity(sched, 2) == pytest.approx(0.9 - 0.4 * 0.125)
+    assert epoch_sparsity(0.9, 0, 5) == pytest.approx(0.5)
+    assert epoch_sparsity(0.9, 4, 5) == 0.9
+    # t=2 of T=4: 0.9 + (0.5-0.9) * (1/2)^3
+    assert epoch_sparsity(0.9, 2, 5) == pytest.approx(0.9 - 0.4 * 0.125)
+    assert epoch_sparsity(0.9, 0, 1) == 0.9  # one epoch: no ramp
+    assert [epoch_sparsity(0.25, e, 4) for e in range(4)] == [0.25] * 4  # starts at the target
+    values = [epoch_sparsity(t, e, n) for t in (0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+              for n in (1, 2, 3, 4, 12) for e in range(n)]
+    assert len(values) == 154
+    assert hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest() == RAMP_SHA256
 
 
 def test_schedule_monotone_toward_target():
-    sched = SparsitySchedule(0.5, 0.99, total_steps=11)
-    values = [schedule_sparsity(sched, t) for t in range(12)]
+    values = [epoch_sparsity(0.99, t, 12) for t in range(12)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(0.5) and values[-1] == pytest.approx(0.99)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SparsitySchedule(1.0, 0.5, 3)
-    with pytest.raises(ValueError):
-        SparsitySchedule(0.5, 0.9, 0)
-    sched = SparsitySchedule(0.5, 0.9, 3)
-    with pytest.raises(ValueError, match="outside"):
-        schedule_sparsity(sched, 4)
-    with pytest.raises(ValueError, match="outside"):
-        schedule_sparsity(sched, -1)
+    for target in (1.0, -0.1):
+        with pytest.raises(ValueError, match="target"):
+            epoch_sparsity(target, 0, 3)
+    for epoch, epochs in ((3, 3), (-1, 3), (0, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            epoch_sparsity(0.9, epoch, epochs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ bound, exact-zero preservation, idempotence, and float16 conversion.
 import numpy as np
 import pytest
 
-from compresslab.quantization import (QuantParams, QuantizedTensor,
-                                      compute_quant_params, convert_float16,
+from compresslab.quantization import (QuantParams, QuantizedTensor, compute_quant_params,
                                       dequantize_params, dequantize_tensor,
                                       quantize_params, quantize_tensor)
 from compresslab.nncore import build_model, model_from_params
@@ -192,9 +191,12 @@ def test_symmetric_never_uses_minus_128():
 # ---------------------------------------------------------------------------
 # float16
 
+FLOAT16 = QuantParams(16, "float16")
+
+
 def test_float16_roundtrip_and_dtype():
     w = np.array([0.0, 1.0, -2.5, 0.1, 65504.0], dtype=np.float32)
-    qt = convert_float16(w)
+    qt = quantize_tensor(w, FLOAT16)
     assert qt.payload.dtype == np.float16
     assert qt.params.bits == 16 and qt.params.mode == "float16"
     deq = dequantize_tensor(qt)
@@ -207,15 +209,15 @@ def test_float16_roundtrip_and_dtype():
 def test_float16_overflow_names_tensor():
     w = np.array([1e5], dtype=np.float32)
     with pytest.raises(ValueError, match="3.weight"):
-        convert_float16(w, name="3.weight")
+        quantize_params({"3.weight": w}, 16)
     with pytest.raises(ValueError, match="float16 range"):
-        convert_float16(w)
+        quantize_tensor(w, FLOAT16)
 
 
 def test_float16_rounds_to_nearest():
     # 2049 is not representable in binary16 (gap is 2 there); ties to even -> 2048
     w = np.array([2049.0], dtype=np.float32)
-    qt = convert_float16(w)
+    qt = quantize_tensor(w, FLOAT16)
     assert float(qt.payload[0]) == 2048.0
 
 

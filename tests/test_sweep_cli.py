@@ -105,6 +105,15 @@ def test_sweep_is_byte_deterministic(data_dir, tmp_path, sweep_result):
     with open(os.path.join(first_out, name), "rb") as f1, \
             open(os.path.join(out2, name), "rb") as f2:
         assert f1.read() == f2.read()
+    # a smaller grid into the same directory removes the dropped row's artifacts only
+    foreign = ["notes.txt", "cifar-smallnet_cifar10_s0.5_p8.mcmp.gz"]
+    for other in foreign:
+        with open(os.path.join(out2, other), "wb") as f:
+            f.write(b"not this sweep's")
+    run_sweep(small_config(data_dir, out2, epochs=1, sparsity_grid=(0.0,)))
+    assert sorted(os.listdir(out2)) == sorted(
+        [*foreign, "results.csv", *(sweep.artifact_name("mnist-cnn", "mnist", 0.0, bits)
+                                    for bits in (32, 8))])
 
 
 def test_sweep_failed_cell_logged_not_patched(data_dir, tmp_path, monkeypatch):

@@ -477,6 +477,20 @@ def test_one_blas_thread_pins_nothing_when_it_cannot_tell_the_library(monkeypatc
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+@pytest.mark.skipif(_bundled_openblas() is None, reason="numpy does not bundle OpenBLAS here")
+def test_lane_pass_pins_one_blas_thread_around_both_lanes():
+    """Without a pin around the whole pass, one lane's pin could give the
+    caller's count back while the other lane runs BLAS."""
+    lib = _bundled_openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert nncore._on_two_lanes(lambda x: nncore._openblas()[0](), list(range(4))) == [1] * 4
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 LIBRARY_CALLS = """\
 import hashlib
 import numpy as np
@@ -500,8 +514,10 @@ print(repr(loss), repr(evaluate_accuracy(pruned, data)), nncore._openblas()[0]()
 
 @pytest.mark.skipif(_bundled_openblas() is None, reason="numpy does not bundle OpenBLAS here")
 def test_library_calls_at_two_blas_threads_give_the_one_thread_bits():
-    """train, prune_and_finetune, forward, evaluate_accuracy and loss_and_grad
-    pin one thread themselves, and give the caller's count back."""
+    """Every GEMM runs inside forward or loss_and_grad, and both pin one BLAS
+    thread, so train, prune_and_finetune, forward, evaluate_accuracy and
+    loss_and_grad give the one-thread bits at a caller's count of two, and
+    give that count back."""
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
